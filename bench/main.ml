@@ -718,7 +718,6 @@ let brownout_section () =
 
 type corruption_row = {
   co_rate : float;  (* ambient per-frame corruption rate *)
-  co_encoded : bool;
   co_issued : int;
   co_ok : int;
   co_failed : int;
@@ -736,20 +735,20 @@ type corruption_row = {
 
 let corruption_rows : corruption_row list ref = ref []
 
-(* Closed-loop write/read pairs on a voting cluster whose frames cross
-   the network encoded, with ambient byte damage at 0 / 0.1% / 1% per
-   frame (spread over the injector's five kinds).  Every read of a block
-   this client just wrote is model-checked against the written payload —
-   a decoder that ever let a damaged frame through as a different valid
-   payload would show up here as a violation.  The rate-0 encoded row
-   against the in-heap baseline row isolates the encode+decode hot-path
-   cost; the damaged rows price the redelivery traffic.  All gates are
-   asserted, not just printed. *)
+(* Closed-loop write/read pairs on a voting cluster with ambient byte
+   damage at 0 / 0.1% / 1% per frame (spread over the injector's five
+   kinds).  A damaging injector makes the frames cross the network
+   encoded; the rate-0 row has none and runs in-heap.  Every read of a
+   block this client just wrote is model-checked against the written
+   payload — a decoder that ever let a damaged frame through as a
+   different valid payload would show up here as a violation.  The
+   damaged rows price the decode and redelivery work against the in-heap
+   row.  All gates are asserted, not just printed. *)
 let corruption_section () =
-  section "Wire corruption: goodput and p99 vs frame-corruption rate (voting, n = 3, encoded)";
+  section "Wire corruption: goodput and p99 vs frame-corruption rate (voting, n = 3)";
   let pairs = if quick then 300 else 1200 in
   let n_blocks = 16 in
-  let run ~encoded ~rate =
+  let run rate =
     let corruption =
       {
         Net.Faults.bit_flip = 0.6 *. rate;
@@ -762,7 +761,7 @@ let corruption_section () =
     let config =
       Blockrep.Config.make_exn ~scheme:Blockrep.Types.Voting ~n_sites:3 ~n_blocks ~seed:4242
         ~fault_profile:(Net.Faults.make_exn ~corruption ())
-        ~encoded_delivery:encoded ()
+        ()
     in
     let device = Blockrep.Reliable_device.of_config config in
     let engine = Blockrep.Cluster.engine (Blockrep.Reliable_device.cluster device) in
@@ -793,7 +792,6 @@ let corruption_section () =
     let deg = Blockrep.Reliable_device.degradation device in
     {
       co_rate = rate;
-      co_encoded = encoded;
       co_issued = 2 * pairs;
       co_ok = !ok;
       co_failed = !failed;
@@ -811,27 +809,16 @@ let corruption_section () =
         && Blockrep.Reliable_device.degradation_conserved deg;
     }
   in
-  let rows =
-    run ~encoded:false ~rate:0.0
-    :: List.map (fun rate -> run ~encoded:true ~rate) [ 0.0; 0.001; 0.01 ]
-  in
+  let rows = List.map run [ 0.0; 0.001; 0.01 ] in
   corruption_rows := rows;
-  Format.printf "%7s %8s %6s %6s %5s %8s %7s %7s %10s %9s %6s %6s %5s@." "rate" "encoded"
-    "issued" "ok" "viol" "goodput" "p50" "p99" "wall-ns/op" "corrupted" "frej" "retx" "cons";
+  Format.printf "%7s %6s %6s %5s %8s %7s %7s %10s %9s %6s %6s %5s@." "rate" "issued" "ok" "viol"
+    "goodput" "p50" "p99" "wall-ns/op" "corrupted" "frej" "retx" "cons";
   List.iter
     (fun r ->
-      Format.printf "%7.4f %8B %6d %6d %5d %8.2f %7.3f %7.3f %10.0f %9d %6d %6d %5B@." r.co_rate
-        r.co_encoded r.co_issued r.co_ok r.co_violations r.co_goodput r.co_p50 r.co_p99 r.co_wall_ns
+      Format.printf "%7.4f %6d %6d %5d %8.2f %7.3f %7.3f %10.0f %9d %6d %6d %5B@." r.co_rate
+        r.co_issued r.co_ok r.co_violations r.co_goodput r.co_p50 r.co_p99 r.co_wall_ns
         r.co_corrupted r.co_rejected r.co_retx r.co_conserved)
     rows;
-  (match rows with
-  | baseline :: encoded_clean :: _ ->
-      Format.printf
-        "hot path: encoded delivery at rate 0 costs %.0f ns/op wall vs %.0f in-heap (%.2fx); \
-         virtual goodput identical by construction@."
-        encoded_clean.co_wall_ns baseline.co_wall_ns
-        (if baseline.co_wall_ns > 0.0 then encoded_clean.co_wall_ns /. baseline.co_wall_ns else 0.0)
-  | _ -> ());
   Format.printf "goodput = successful ops per virtual second; p50/p99 are per-op virtual response@.";
   Format.printf "times; wall-ns/op is real time for the whole simulated stack.  corrupted frames@.";
   Format.printf "are rejected at ingress and redelivered from the sender's pristine copy.@.";
@@ -1171,7 +1158,6 @@ let write_json_results path =
         Json.Obj
           [
             ("rate", Json.Num r.co_rate);
-            ("encoded", Json.Bool r.co_encoded);
             ("issued", Json.Int r.co_issued);
             ("succeeded", Json.Int r.co_ok);
             ("failed", Json.Int r.co_failed);

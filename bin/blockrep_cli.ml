@@ -245,64 +245,45 @@ let chaos_cmd =
   let ops_arg =
     Arg.(value & opt (some int) None & info [ "ops" ] ~docv:"OPS" ~doc:"Client operations per run.")
   in
-  let failures_arg =
-    Arg.(
-      value & flag
-      & info [ "failures" ]
-          ~doc:
-            "Force individual site failures on (outside the voting/dynamic envelope: expected to \
-             surface violations there).")
-  in
-  let partitions_arg =
-    Arg.(
-      value & flag
-      & info [ "partitions" ] ~doc:"Force network partitions on (outside every scheme's envelope).")
-  in
-  let total_failures_arg =
-    Arg.(value & flag & info [ "total-failures" ] ~doc:"Force whole-system crashes on.")
-  in
-  let media_arg =
-    Arg.(
-      value & flag
-      & info [ "media" ]
-          ~doc:
-            "Turn on the scheme's storage-fault envelope: crash-torn writes, latent bitrot and \
-             disk replacement for the copy schemes, bitrot only for the voting flavours.")
-  in
-  let overload_arg =
-    Arg.(
-      value & flag
-      & info [ "overload" ]
-          ~doc:
-            "Turn on the overload + gray-failure envelope: per-site service model, slow-site \
-             episodes, client bursts and queue floods, with deadlines, hedged reads, circuit \
-             breakers and admission control enabled client-side.")
-  in
-  let wire_arg =
-    Arg.(
-      value & flag
-      & info [ "wire" ]
-          ~doc:
-            "Turn on the hostile-bytes envelope: frames cross the network encoded and the injector \
-             damages their bytes (bit flips, truncation, garbage prefix/suffix, frame splices) at \
-             ambient rates; the hardened ingress must absorb all of it with every injected \
-             corruption accounted for.")
-  in
-  let crash_writes_arg =
-    Arg.(
-      value & flag
-      & info [ "crash-writes" ] ~doc:"Force crash-torn writes on (crash mid-write; scrub replays).")
-  in
-  let bitrot_arg =
-    Arg.(
-      value & flag
-      & info [ "bitrot" ] ~doc:"Force latent sector errors on (maskable injections only).")
-  in
-  let disk_replace_arg =
-    Arg.(
-      value & flag
-      & info [ "disk-replace" ]
-          ~doc:"Force whole-disk replacements on (blank medium, rebuilt by recovery).")
+  (* The run's envelope: the scheme's base folded through every flag
+     given — the layers first, then the single fault families — so flags
+     compose instead of overriding one another. *)
+  let shape_arg =
+    let layers =
+      [
+        ( "media",
+          "Add the scheme's storage-fault envelope: crash-torn writes, latent bitrot and disk \
+           replacement for the copy schemes, bitrot only for the voting flavours.",
+          Check.Chaos.media );
+        ( "overload",
+          "Add the overload + gray-failure envelope: per-site service model, slow-site episodes, \
+           client bursts and queue floods, with deadlines, hedged reads, circuit breakers and \
+           admission control enabled client-side (site and total failures are taken out).",
+          Check.Chaos.overload );
+        ( "wire",
+          "Add the hostile-bytes envelope: the injector damages frame bytes (bit flips, \
+           truncation, garbage prefix/suffix, frame splices) at ambient rates, so frames cross the \
+           network encoded; the hardened ingress must absorb all of it with every injected \
+           corruption accounted for.",
+          Check.Chaos.wire );
+      ]
+    in
+    let families =
+      List.filter_map
+        (fun family ->
+          Option.map
+            (fun (name, doc) ->
+              ( name,
+                doc,
+                fun env -> { env with Check.Chaos.families = family :: env.Check.Chaos.families } ))
+            (Check.Chaos.flag family))
+        Check.Chaos.families
+    in
+    List.fold_left
+      (fun shape (name, doc, layer) ->
+        let on = Arg.(value & flag & info [ name ] ~doc) in
+        Term.(const (fun shape on env -> if on then layer (shape env) else shape env) $ shape $ on))
+      (Term.const Fun.id) (layers @ families)
   in
   let drop_arg =
     Arg.(
@@ -354,31 +335,25 @@ let chaos_cmd =
   let csv_arg =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc:"Write the row as CSV.")
   in
-  let run scheme sites seeds seed0 ops failures partitions total_failures media overload wire
-      crash_writes bitrot disk_replace drop read_threshold write_threshold no_shrink shards
+  let run scheme sites seeds seed0 ops shape drop read_threshold write_threshold no_shrink shards
       expect_violations dump_schedule replay csv =
     if shards <= 0 then `Error (false, "--shards must be positive")
     else
+    let env = shape (Check.Chaos.default_env ~seed:seed0 scheme) in
     let env =
-      if overload then Check.Chaos.overload_env ~seed:seed0 scheme
-      else if media then Check.Chaos.media_env ~seed:seed0 scheme
-      else if wire then Check.Chaos.wire_env ~seed:seed0 scheme
-      else Check.Chaos.default_env ~seed:seed0 scheme
+      {
+        env with
+        Check.Chaos.n_sites = sites;
+        weaken_read = read_threshold;
+        weaken_write = write_threshold;
+      }
     in
-    let env = { env with Check.Chaos.n_sites = sites } in
     let env = match ops with Some ops -> { env with Check.Chaos.ops } | None -> env in
-    let env = if failures then { env with Check.Chaos.failures = true } else env in
-    let env = if partitions then { env with Check.Chaos.partitions = true } else env in
-    let env = if total_failures then { env with Check.Chaos.total_failures = true } else env in
-    let env = if crash_writes then { env with Check.Chaos.crash_writes = true } else env in
-    let env = if bitrot then { env with Check.Chaos.bitrot = true } else env in
-    let env = if disk_replace then { env with Check.Chaos.disk_replace = true } else env in
     let env =
       match drop with
       | Some p -> { env with Check.Chaos.faults = { env.Check.Chaos.faults with Net.Faults.drop = p } }
       | None -> env
     in
-    let env = { env with Check.Chaos.weaken_read = read_threshold; weaken_write = write_threshold } in
     match replay with
     | Some file -> (
         let ic = open_in file in
@@ -398,16 +373,7 @@ let chaos_cmd =
         let seed_list = List.init seeds (fun i -> seed0 + i) in
         let sweep = Check.Chaos.sweep ~shrink_failures:(not no_shrink) ~shards env ~seeds:seed_list in
         let label =
-          Printf.sprintf "%s%s%s%s%s%s%s%s%s%s%s"
-            (Blockrep.Types.scheme_to_string scheme)
-            (if env.Check.Chaos.failures then "+fail" else "")
-            (if env.Check.Chaos.partitions then "+part" else "")
-            (if env.Check.Chaos.total_failures then "+total" else "")
-            (if env.Check.Chaos.crash_writes then "+torn" else "")
-            (if env.Check.Chaos.bitrot then "+rot" else "")
-            (if env.Check.Chaos.disk_replace then "+swap" else "")
-            (if env.Check.Chaos.slow_sites || env.Check.Chaos.queue_floods then "+over" else "")
-            (if env.Check.Chaos.encoded then "+wire" else "")
+          Printf.sprintf "%s%s%s" (Check.Chaos.label env)
             (match drop with Some p -> Printf.sprintf "+drop%g" p | None -> "")
             (match (read_threshold, write_threshold) with
             | None, None -> ""
@@ -462,11 +428,9 @@ let chaos_cmd =
           and quiescent invariant scans, with greedy schedule shrinking of any failure.")
     Term.(
       ret
-        (const run $ scheme_arg $ sites_arg $ seeds_arg $ seed0_arg $ ops_arg $ failures_arg
-       $ partitions_arg $ total_failures_arg $ media_arg $ overload_arg $ wire_arg
-       $ crash_writes_arg $ bitrot_arg
-       $ disk_replace_arg $ drop_arg $ read_threshold_arg $ write_threshold_arg $ no_shrink_arg
-       $ shards_arg $ expect_violations_arg $ dump_schedule_arg $ replay_arg $ csv_arg))
+        (const run $ scheme_arg $ sites_arg $ seeds_arg $ seed0_arg $ ops_arg $ shape_arg
+       $ drop_arg $ read_threshold_arg $ write_threshold_arg $ no_shrink_arg $ shards_arg
+       $ expect_violations_arg $ dump_schedule_arg $ replay_arg $ csv_arg))
 
 let scenario_cmd =
   let file =

@@ -36,9 +36,11 @@ let () =
   Format.printf "%a@." Report.Chaos_report.print rows;
 
   section "Outside the envelope: voting under site failures";
-  let env =
-    { (Check.Chaos.default_env Blockrep.Types.Voting) with Check.Chaos.failures = true }
+  let voting_with_failures =
+    let base = Check.Chaos.default_env Blockrep.Types.Voting in
+    { base with Check.Chaos.families = Check.Chaos.Failures :: base.Check.Chaos.families }
   in
+  let env = voting_with_failures in
   let sweep = Check.Chaos.sweep env ~seeds:(List.init 40 (fun i -> i + 1)) in
   Format.printf "%a@."
     Report.Chaos_report.print
@@ -52,12 +54,7 @@ let () =
 
   section "Outside the envelope: weakened MCV (read threshold 1)";
   let env =
-    {
-      (Check.Chaos.default_env Blockrep.Types.Voting) with
-      Check.Chaos.failures = true;
-      weaken_read = Some 1;
-      weaken_write = Some 2;
-    }
+    { voting_with_failures with Check.Chaos.weaken_read = Some 1; weaken_write = Some 2 }
   in
   let sweep = Check.Chaos.sweep env ~seeds:(List.init 40 (fun i -> i + 1)) in
   Format.printf "%a@."

@@ -4,7 +4,7 @@ module Runtime = Blockrep.Runtime
 module Store = Blockdev.Store
 module Prng = Util.Prng
 
-type event =
+type fault =
   | Fail of int
   | Repair of int
   | Partition of int list list
@@ -13,60 +13,33 @@ type event =
   | Bitrot of int * int
   | Disk_replace of int
   | Slow_site of int * float
-  | Burst of int
   | Queue_flood of int * int
   | Wire_corrupt of int * int
   | Wire_heal of int * int
 
+type event = Fault of fault | Burst of int
 type schedule = (float * event) list
+
+type family =
+  | Failures
+  | Partitions
+  | Total_failures
+  | Torn_writes
+  | Latent_rot
+  | Disk_swaps
+  | Overload
+  | Corrupt_links
 
 type env = {
   scheme : Types.scheme;
   n_sites : int;
-  n_blocks : int;
   seed : int;
   ops : int;
-  mean_gap : float;
-  reads_per_write : float;
-  horizon : float;
-  failures : bool;
-  failure_rate : float;
-  down_mean : float;
-  partitions : bool;
-  partition_rate : float;
-  partition_duration : float;
-  total_failures : bool;
-  total_failure_rate : float;
-  total_down_mean : float;
+  batch : int;
   faults : Net.Faults.profile;
   weaken_read : int option;
   weaken_write : int option;
-  settle : float option;
-  readback : bool;
-  batch : int;
-  crash_writes : bool;
-  crash_write_rate : float;
-  bitrot : bool;
-  bitrot_rate : float;
-  disk_replace : bool;
-  disk_replace_rate : float;
-  media_down_mean : float;
-  service : Net.Service_model.t option;
-  robustness : Blockrep.Robustness.t;
-  slow_sites : bool;
-  slow_rate : float;
-  slow_factor : float;
-  slow_mean : float;
-  bursts : bool;
-  burst_rate : float;
-  burst_ops : int;
-  queue_floods : bool;
-  flood_rate : float;
-  flood_count : int;
-  encoded : bool;
-  wire_corrupt_links : bool;
-  wire_corrupt_rate : float;
-  wire_corrupt_mean : float;
+  families : family list;
 }
 
 (* The group-commit fast path under chaos: client writes are absorbed by
@@ -78,18 +51,24 @@ type env = {
    writes is still intact. *)
 module Wb_cache = Fs.Buffer_cache.Make_batched (Blockrep.Reliable_device)
 
+(* Every run drives the same small device with the same closed-loop mix:
+   exponential think time of mean [mean_gap] between operations. *)
+let n_blocks = 8
+let mean_gap = 2.5
+let reads_per_write = 2.5
+
 let supported_faults =
   Net.Faults.make_exn ~duplicate:0.05 ~reorder:0.05
     ~jitter:(Util.Dist.Uniform (0.0, 1.0))
     ~extra_delay:0.1 ()
 
-(* Ambient byte damage of the wire envelope.  The hardened ingress
+(* Ambient byte damage of the wire layer.  The hardened ingress
    redelivers a rejected frame up to [Net.Network.redelivery_budget]
    times, so at a combined per-frame corruption rate around 6% the
    residual loss is ~ 0.06^7 — far below anything a 25-seed sweep could
    surface.  A {e persistent} corruptor link defeats the budget by
-   design, which is why [wire_corrupt_links] stays off here: that event
-   turns corruption into message loss, and drops are outside every
+   design, which is why the wire layer leaves [Corrupt_links] off: that
+   family turns corruption into message loss, and drops are outside every
    scheme's envelope (fire-and-forget updates are lost for good). *)
 let supported_corruption =
   {
@@ -100,306 +79,406 @@ let supported_corruption =
     splice = 0.01;
   }
 
+(* The overload layer's client stack: deadlines, hedged reads, breakers
+   and admission control, on top of the default per-site service model. *)
+let overload_robustness =
+  {
+    Blockrep.Robustness.deadlines = true;
+    op_budget = None;
+    hedge = Some { Blockrep.Robustness.quantile = 0.9; floor = 1.0 };
+    breaker = Some { Blockrep.Robustness.threshold = 5; cooldown = 30.0 };
+    admission = Some 64;
+  }
+
 let default_env ?(seed = 1) scheme =
-  let failures, total_failures =
+  let families =
     match scheme with
-    | Types.Available_copy | Types.Naive_available_copy -> (true, true)
+    | Types.Available_copy | Types.Naive_available_copy -> [ Failures; Total_failures ]
     | Types.Voting | Types.Dynamic_voting ->
         (* The one-round write (commit on votes, unacknowledged update
            multicast — the paper's 1+u message budget) leaves a window
            where a voter crashes after its vote was counted but before the
            update reaches its disk; a later read quorum formed without the
            writer can then be jointly stale.  Site failures are therefore
-           outside the voting envelope — [run] with [failures = true]
+           outside the voting envelope — [run] with [Failures] added
            demonstrates the oracle catching exactly that. *)
-        (false, false)
+        []
   in
   {
     scheme;
     n_sites = 3;
-    n_blocks = 8;
     seed;
     ops = 110;
-    mean_gap = 2.5;
-    reads_per_write = 2.5;
-    horizon = 260.0;
-    failures;
-    failure_rate = 0.04;
-    down_mean = 6.0;
-    partitions = false;
-    partition_rate = 0.01;
-    partition_duration = 8.0;
-    total_failures;
-    total_failure_rate = 0.004;
-    total_down_mean = 4.0;
+    batch = 1;
     faults = supported_faults;
     weaken_read = None;
     weaken_write = None;
-    settle = None;
-    readback = true;
-    batch = 1;
-    crash_writes = false;
-    crash_write_rate = 0.02;
-    bitrot = false;
-    bitrot_rate = 0.03;
-    disk_replace = false;
-    disk_replace_rate = 0.005;
-    media_down_mean = 6.0;
-    service = None;
-    robustness = Blockrep.Robustness.off;
-    slow_sites = false;
-    slow_rate = 0.02;
-    slow_factor = 10.0;
-    slow_mean = 12.0;
-    bursts = false;
-    burst_rate = 0.015;
-    burst_ops = 15;
-    queue_floods = false;
-    flood_rate = 0.015;
-    flood_count = 48;
-    encoded = false;
-    wire_corrupt_links = false;
-    wire_corrupt_rate = 0.01;
-    wire_corrupt_mean = 10.0;
+    families;
   }
 
-let media_env ?seed scheme =
+let media env =
   (* The storage-fault envelope per scheme.  Crash-torn writes and disk
      replacement take a site down; under the one-round voting write any
      site failure is already outside that scheme's envelope (see
      [default_env]), so the voting flavours get latent bitrot only —
      every copy stays mounted, quarantine + quorum re-pull heal it. *)
-  let base = default_env ?seed scheme in
-  match scheme with
-  | Types.Available_copy | Types.Naive_available_copy ->
-      { base with crash_writes = true; bitrot = true; disk_replace = true }
-  | Types.Voting | Types.Dynamic_voting -> { base with bitrot = true }
+  let added =
+    match env.scheme with
+    | Types.Available_copy | Types.Naive_available_copy -> [ Torn_writes; Latent_rot; Disk_swaps ]
+    | Types.Voting | Types.Dynamic_voting -> [ Latent_rot ]
+  in
+  { env with families = env.families @ added }
 
-let overload_env ?seed scheme =
-  (* The overload + gray-failure envelope: every site runs the calibrated
-     service model and the client stack has deadlines, hedged reads,
-     breakers and admission on.  Slow sites, client bursts and queue
-     floods never take a site down or lose an acknowledged message, so
-     they are inside {e every} scheme's correctness envelope (including
+let overload env =
+  (* The overload + gray-failure envelope: slow sites, client bursts and
+     queue floods never take a site down or lose an acknowledged message,
+     so they are inside {e every} scheme's correctness envelope (including
      voting, whose envelope excludes site failures) — the oracle must stay
-     silent while p99 degrades. *)
-  let base = default_env ?seed scheme in
-  {
-    base with
-    failures = false;
-    total_failures = false;
-    service = Some Net.Service_model.default;
-    robustness =
-      {
-        Blockrep.Robustness.deadlines = true;
-        op_budget = None;
-        hedge = Some { Blockrep.Robustness.quantile = 0.9; floor = 1.0 };
-        breaker = Some { Blockrep.Robustness.threshold = 5; cooldown = 30.0 };
-        admission = Some 64;
-      };
-    slow_sites = true;
-    bursts = true;
-    queue_floods = true;
-  }
+     silent while p99 degrades.  Crash processes are taken out so the
+     layer means the same thing for every scheme. *)
+  let kept = List.filter (function Failures | Total_failures -> false | _ -> true) env.families in
+  { env with families = kept @ [ Overload ] }
 
-let wire_env ?seed scheme =
-  (* The hostile-bytes envelope: frames cross the network encoded and the
-     injector damages their bytes at the [supported_corruption] ambient
-     rates on top of the supported delay/duplicate/reorder faults.  The
-     hardened ingress (CRC/shape rejection + bounded link-layer
-     redelivery) must absorb all of it, so byte damage is inside {e
-     every} scheme's correctness envelope — the oracle must stay silent
-     and every injected corruption must be accounted for by the ingress
+let wire env =
+  (* The hostile-bytes envelope: the injector damages frame bytes at the
+     [supported_corruption] ambient rates on top of the message faults,
+     which also makes the network carry encoded frames.  The hardened
+     ingress (CRC/shape rejection + bounded link-layer redelivery) must
+     absorb all of it, so byte damage is inside {e every} scheme's
+     correctness envelope — the oracle must stay silent and every
+     injected corruption must be accounted for by the ingress
      conservation identity (checked as an invariant, not assumed). *)
-  let base = default_env ?seed scheme in
-  {
-    base with
-    encoded = true;
-    faults = { base.faults with Net.Faults.corruption = supported_corruption };
-  }
+  { env with faults = { env.faults with Net.Faults.corruption = supported_corruption } }
 
 (* --- schedules --- *)
 
+(* Schedule events are generated on [0, horizon]. *)
+let horizon = 260.0
+
 let exp_sample rng mean = -.mean *. log (Prng.float_pos rng)
 
-let site_failure_events env rng site =
+(* Poisson arrivals of [rate] on [0, horizon].  [arrive t emit] emits the
+   events of the arrival at [t] and returns the time the next gap counts
+   from (the arrival itself, or the end of the episode it opened). *)
+let arrivals ~rate rng arrive =
   let events = ref [] in
-  let t = ref (exp_sample rng (1.0 /. env.failure_rate)) in
-  while !t <= env.horizon do
-    events := (!t, Fail site) :: !events;
-    t := !t +. exp_sample rng env.down_mean;
-    if !t <= env.horizon then events := (!t, Repair site) :: !events;
-    t := !t +. exp_sample rng (1.0 /. env.failure_rate)
+  let emit t ev = events := (t, ev) :: !events in
+  let t = ref (exp_sample rng (1.0 /. rate)) in
+  while !t <= horizon do
+    let from = arrive !t emit in
+    t := from +. exp_sample rng (1.0 /. rate)
   done;
   List.rev !events
 
-let partition_events env rng =
-  let events = ref [] in
-  let t = ref (exp_sample rng (1.0 /. env.partition_rate)) in
-  while !t <= env.horizon do
-    (* a random two-way split with both sides nonempty *)
-    let side = Array.init env.n_sites (fun _ -> Prng.bool rng) in
-    let all_same = Array.for_all (fun b -> b = side.(0)) side in
-    if all_same then side.(Prng.int rng env.n_sites) <- not side.(0);
-    let left = ref [] and right = ref [] in
-    Array.iteri (fun i b -> if b then left := i :: !left else right := i :: !right) side;
-    events := (!t, Partition [ List.rev !left; List.rev !right ]) :: !events;
-    let heal_t = !t +. exp_sample rng env.partition_duration in
-    if heal_t <= env.horizon then events := (heal_t, Heal) :: !events;
-    t := heal_t +. exp_sample rng (1.0 /. env.partition_rate)
-  done;
-  List.rev !events
+(* An episode: [opening] at [t], [closing] after an exponential length of
+   mean [mean] if that is still inside the horizon; the next arrival
+   counts from the close. *)
+let episode rng ~mean emit t opening closing =
+  emit t (Fault opening);
+  let close = t +. exp_sample rng mean in
+  if close <= horizon then emit close (Fault closing);
+  close
 
-let total_failure_events env rng =
-  let events = ref [] in
-  let t = ref (exp_sample rng (1.0 /. env.total_failure_rate)) in
-  while !t <= env.horizon do
-    let last_repair = ref !t in
-    for site = 0 to env.n_sites - 1 do
-      (* stagger the crashes slightly so there is a genuine "last site to
-         fail", then repair each site independently *)
-      let fail_t = !t +. (0.3 *. Prng.float rng) in
-      events := (fail_t, Fail site) :: !events;
-      let repair_t = fail_t +. 0.5 +. exp_sample rng env.total_down_mean in
-      if repair_t <= env.horizon then begin
-        events := (repair_t, Repair site) :: !events;
-        last_repair := Float.max !last_repair repair_t
-      end
-    done;
-    t := !last_repair +. exp_sample rng (1.0 /. env.total_failure_rate)
-  done;
-  List.rev !events
+(* A crash-like media fault at [t], repaired half a time unit plus an
+   exponential outage of mean [media_down_mean] later; the next arrival
+   counts from the fault. *)
+let media_down_mean = 6.0
 
-let crash_write_events env rng =
-  (* Crash-torn writes: the site loses power mid-write; the next crash is
-     armed to tear the apply of its most recent journaled write, and the
-     site is repaired a while later (the scrub replays the intention). *)
-  let events = ref [] in
-  let t = ref (exp_sample rng (1.0 /. env.crash_write_rate)) in
-  while !t <= env.horizon do
-    let site = Prng.int rng env.n_sites in
-    events := (!t, Crash_torn site) :: !events;
-    let repair_t = !t +. 0.5 +. exp_sample rng env.media_down_mean in
-    if repair_t <= env.horizon then events := (repair_t, Repair site) :: !events;
-    t := !t +. exp_sample rng (1.0 /. env.crash_write_rate)
-  done;
-  List.rev !events
+let outage rng emit t site fault =
+  emit t (Fault fault);
+  let repair = t +. 0.5 +. exp_sample rng media_down_mean in
+  if repair <= horizon then emit repair (Fault (Repair site));
+  t
 
-let bitrot_events env rng =
-  let events = ref [] in
-  let t = ref (exp_sample rng (1.0 /. env.bitrot_rate)) in
-  while !t <= env.horizon do
-    events := (!t, Bitrot (Prng.int rng env.n_sites, Prng.int rng env.n_blocks)) :: !events;
-    t := !t +. exp_sample rng (1.0 /. env.bitrot_rate)
-  done;
-  List.rev !events
+(* Independent per-site failure/repair processes: mean up time
+   1/[failure_rate], mean repair time [down_mean]; one split stream per
+   site, split in site order. *)
+let failure_rate = 0.04
+let down_mean = 6.0
 
-let disk_replace_events env rng =
-  let events = ref [] in
-  let t = ref (exp_sample rng (1.0 /. env.disk_replace_rate)) in
-  while !t <= env.horizon do
-    let site = Prng.int rng env.n_sites in
-    events := (!t, Disk_replace site) :: !events;
-    let repair_t = !t +. 0.5 +. exp_sample rng env.media_down_mean in
-    if repair_t <= env.horizon then events := (repair_t, Repair site) :: !events;
-    t := !t +. exp_sample rng (1.0 /. env.disk_replace_rate)
-  done;
-  List.rev !events
+let site_failures n_sites frng =
+  let rec go site =
+    if site >= n_sites then []
+    else
+      let rng = Prng.split frng in
+      let events =
+        arrivals ~rate:failure_rate rng (fun t emit ->
+            episode rng ~mean:down_mean emit t (Fail site) (Repair site))
+      in
+      events @ go (site + 1)
+  in
+  go 0
 
-let slow_site_events env rng =
-  (* Gray failure: a random site turns [slow_factor]x slow for an
-     exponential episode, then recovers to full speed (factor 1.0). *)
-  let events = ref [] in
-  let t = ref (exp_sample rng (1.0 /. env.slow_rate)) in
-  while !t <= env.horizon do
-    let site = Prng.int rng env.n_sites in
-    events := (!t, Slow_site (site, env.slow_factor)) :: !events;
-    let recover_t = !t +. exp_sample rng env.slow_mean in
-    if recover_t <= env.horizon then events := (recover_t, Slow_site (site, 1.0)) :: !events;
-    t := recover_t +. exp_sample rng (1.0 /. env.slow_rate)
-  done;
-  List.rev !events
+let partition_rate = 0.01
+let partition_duration = 8.0
 
-let burst_events env rng =
-  let events = ref [] in
-  let t = ref (exp_sample rng (1.0 /. env.burst_rate)) in
-  while !t <= env.horizon do
-    events := (!t, Burst env.burst_ops) :: !events;
-    t := !t +. exp_sample rng (1.0 /. env.burst_rate)
-  done;
-  List.rev !events
+let partition_events n_sites rng =
+  arrivals ~rate:partition_rate rng (fun t emit ->
+      (* a random two-way split with both sides nonempty *)
+      let side = Array.init n_sites (fun _ -> Prng.bool rng) in
+      let all_same = Array.for_all (fun b -> b = side.(0)) side in
+      if all_same then side.(Prng.int rng n_sites) <- not side.(0);
+      let left = ref [] and right = ref [] in
+      Array.iteri (fun i b -> if b then left := i :: !left else right := i :: !right) side;
+      episode rng ~mean:partition_duration emit t (Partition [ List.rev !left; List.rev !right ]) Heal)
 
-let queue_flood_events env rng =
-  let events = ref [] in
-  let t = ref (exp_sample rng (1.0 /. env.flood_rate)) in
-  while !t <= env.horizon do
-    events := (!t, Queue_flood (Prng.int rng env.n_sites, env.flood_count)) :: !events;
-    t := !t +. exp_sample rng (1.0 /. env.flood_rate)
-  done;
-  List.rev !events
+(* Whole-system crashes; [total_down_mean] is the mean per-site outage. *)
+let total_failure_rate = 0.004
+let total_down_mean = 4.0
 
-let wire_corrupt_events env rng =
-  (* A persistent corruptor episode: one directed link flips every frame
-     it carries until healed.  Paired with its heal at an exponential
-     episode length, like slow-site episodes. *)
-  let events = ref [] in
-  let t = ref (exp_sample rng (1.0 /. env.wire_corrupt_rate)) in
-  while !t <= env.horizon do
-    let from = Prng.int rng env.n_sites in
-    let dst = (from + 1 + Prng.int rng (env.n_sites - 1)) mod env.n_sites in
-    events := (!t, Wire_corrupt (from, dst)) :: !events;
-    let heal_t = !t +. exp_sample rng env.wire_corrupt_mean in
-    if heal_t <= env.horizon then events := (heal_t, Wire_heal (from, dst)) :: !events;
-    t := heal_t +. exp_sample rng (1.0 /. env.wire_corrupt_rate)
-  done;
-  List.rev !events
+let total_failure_events n_sites rng =
+  arrivals ~rate:total_failure_rate rng (fun t emit ->
+      let last_repair = ref t in
+      for site = 0 to n_sites - 1 do
+        (* stagger the crashes slightly so there is a genuine "last site to
+           fail", then repair each site independently *)
+        let fail_t = t +. (0.3 *. Prng.float rng) in
+        emit fail_t (Fault (Fail site));
+        let repair_t = fail_t +. 0.5 +. exp_sample rng total_down_mean in
+        if repair_t <= horizon then begin
+          emit repair_t (Fault (Repair site));
+          last_repair := Float.max !last_repair repair_t
+        end
+      done;
+      !last_repair)
+
+(* Crash-torn writes: the site loses power mid-write; the next crash is
+   armed to tear the apply of its most recent journaled write, and the
+   site is repaired a while later (the scrub replays the intention). *)
+let crash_write_rate = 0.02
+
+let crash_write_events n_sites rng =
+  arrivals ~rate:crash_write_rate rng (fun t emit ->
+      let site = Prng.int rng n_sites in
+      outage rng emit t site (Crash_torn site))
+
+let bitrot_rate = 0.03
+
+let bitrot_events n_sites rng =
+  arrivals ~rate:bitrot_rate rng (fun t emit ->
+      emit t (Fault (Bitrot (Prng.int rng n_sites, Prng.int rng n_blocks)));
+      t)
+
+let disk_replace_rate = 0.005
+
+let disk_replace_events n_sites rng =
+  arrivals ~rate:disk_replace_rate rng (fun t emit ->
+      let site = Prng.int rng n_sites in
+      outage rng emit t site (Disk_replace site))
+
+(* Gray failure: a random site turns [slow_factor]x slow for an episode
+   of mean [slow_mean], then recovers to full speed (factor 1.0). *)
+let slow_rate = 0.02
+let slow_factor = 10.0
+let slow_mean = 12.0
+
+let slow_site_events n_sites rng =
+  arrivals ~rate:slow_rate rng (fun t emit ->
+      let site = Prng.int rng n_sites in
+      episode rng ~mean:slow_mean emit t (Slow_site (site, slow_factor)) (Slow_site (site, 1.0)))
+
+(* Each burst issues [burst_ops] operations back-to-back. *)
+let burst_rate = 0.015
+let burst_ops = 15
+
+let burst_events _n_sites rng =
+  arrivals ~rate:burst_rate rng (fun t emit ->
+      emit t (Burst burst_ops);
+      t)
+
+(* Each flood injects [flood_count] junk jobs. *)
+let flood_rate = 0.015
+let flood_count = 48
+
+let queue_flood_events n_sites rng =
+  arrivals ~rate:flood_rate rng (fun t emit ->
+      emit t (Fault (Queue_flood (Prng.int rng n_sites, flood_count)));
+      t)
+
+(* Persistent-corruptor episodes: one directed link flips every frame it
+   carries until healed, after an episode of mean [wire_corrupt_mean]. *)
+let wire_corrupt_rate = 0.01
+let wire_corrupt_mean = 10.0
+
+let wire_corrupt_events n_sites rng =
+  arrivals ~rate:wire_corrupt_rate rng (fun t emit ->
+      let from = Prng.int rng n_sites in
+      let dst = (from + 1 + Prng.int rng (n_sites - 1)) mod n_sites in
+      episode rng ~mean:wire_corrupt_mean emit t (Wire_corrupt (from, dst)) (Wire_heal (from, dst)))
+
+(* The family table.  Each family's events come from one or more seeded
+   streams, stream [salt] drawing from [Prng.create (seed lxor salt)]; a
+   family may name the [chaos] CLI flag that forces it on, and tags sweep
+   labels with its suffix. *)
+type spec = {
+  streams : (int * (int -> Prng.t -> schedule)) list;  (** (salt, generator over n_sites) *)
+  flag : (string * string) option;
+  suffix : string;
+}
+
+let spec = function
+  | Failures ->
+      {
+        streams = [ (0x6661696c, site_failures) ];
+        flag =
+          Some
+            ( "failures",
+              "Force individual site failures on (outside the voting/dynamic envelope: expected to \
+               surface violations there)." );
+        suffix = "+fail";
+      }
+  | Partitions ->
+      {
+        streams = [ (0x70617274, partition_events) ];
+        flag = Some ("partitions", "Force network partitions on (outside every scheme's envelope).");
+        suffix = "+part";
+      }
+  | Total_failures ->
+      {
+        streams = [ (0x746f7461, total_failure_events) ];
+        flag = Some ("total-failures", "Force whole-system crashes on.");
+        suffix = "+total";
+      }
+  | Torn_writes ->
+      {
+        streams = [ (0x746f726e, crash_write_events) ];
+        flag = Some ("crash-writes", "Force crash-torn writes on (crash mid-write; scrub replays).");
+        suffix = "+torn";
+      }
+  | Latent_rot ->
+      {
+        streams = [ (0x726f74, bitrot_events) ];
+        flag = Some ("bitrot", "Force latent sector errors on (maskable injections only).");
+        suffix = "+rot";
+      }
+  | Disk_swaps ->
+      {
+        streams = [ (0x7265706c, disk_replace_events) ];
+        flag =
+          Some ("disk-replace", "Force whole-disk replacements on (blank medium, rebuilt by recovery).");
+        suffix = "+swap";
+      }
+  | Overload ->
+      {
+        streams =
+          [
+            (0x736c6f77, slow_site_events); (0x62757273, burst_events); (0x666c6f64, queue_flood_events);
+          ];
+        flag = None;
+        suffix = "+over";
+      }
+  | Corrupt_links ->
+      { streams = [ (0x77697265, wire_corrupt_events) ]; flag = None; suffix = "+corruptor" }
+
+let families =
+  [
+    Failures; Partitions; Total_failures; Torn_writes; Latent_rot; Disk_swaps; Overload; Corrupt_links;
+  ]
+
+let flag family = (spec family).flag
+let enabled env = List.filter (fun f -> List.mem f env.families) families
+
+let label env =
+  String.concat ""
+    ((Types.scheme_to_string env.scheme :: List.map (fun f -> (spec f).suffix) (enabled env))
+    @ if Net.Faults.corruption_is_trivial env.faults.Net.Faults.corruption then [] else [ "+wire" ])
 
 let generate_schedule env =
-  let events = ref [] in
-  if env.failures then begin
-    let frng = Prng.create (env.seed lxor 0x6661696c) in
-    for site = 0 to env.n_sites - 1 do
-      let rng = Prng.split frng in
-      events := !events @ site_failure_events env rng site
-    done
-  end;
-  if env.partitions then
-    events := !events @ partition_events env (Prng.create (env.seed lxor 0x70617274));
-  if env.total_failures then
-    events := !events @ total_failure_events env (Prng.create (env.seed lxor 0x746f7461));
-  if env.crash_writes then
-    events := !events @ crash_write_events env (Prng.create (env.seed lxor 0x746f726e));
-  if env.bitrot then events := !events @ bitrot_events env (Prng.create (env.seed lxor 0x726f74));
-  if env.disk_replace then
-    events := !events @ disk_replace_events env (Prng.create (env.seed lxor 0x7265706c));
-  if env.slow_sites then
-    events := !events @ slow_site_events env (Prng.create (env.seed lxor 0x736c6f77));
-  if env.bursts then events := !events @ burst_events env (Prng.create (env.seed lxor 0x62757273));
-  if env.queue_floods then
-    events := !events @ queue_flood_events env (Prng.create (env.seed lxor 0x666c6f64));
-  if env.wire_corrupt_links then
-    events := !events @ wire_corrupt_events env (Prng.create (env.seed lxor 0x77697265));
-  List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) !events
+  enabled env
+  |> List.concat_map (fun f ->
+         List.concat_map
+           (fun (salt, generate) -> generate env.n_sites (Prng.create (env.seed lxor salt)))
+           (spec f).streams)
+  |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+
+(* --- the fault verbs: one printer, parser and executor --- *)
+
+let fault_to_string = function
+  | Fail s -> Printf.sprintf "fail %d" s
+  | Repair s -> Printf.sprintf "repair %d" s
+  | Partition groups ->
+      "partition "
+      ^ String.concat " | " (List.map (fun g -> String.concat " " (List.map string_of_int g)) groups)
+  | Heal -> "heal"
+  | Crash_torn s -> Printf.sprintf "crash-torn %d" s
+  | Bitrot (s, b) -> Printf.sprintf "bitrot %d %d" s b
+  | Disk_replace s -> Printf.sprintf "disk-replace %d" s
+  | Slow_site (s, f) -> Printf.sprintf "slow-site %d %.4f" s f
+  | Queue_flood (s, n) -> Printf.sprintf "queue-flood %d %d" s n
+  | Wire_corrupt (s, d) -> Printf.sprintf "wire-corrupt %d %d" s d
+  | Wire_heal (s, d) -> Printf.sprintf "wire-heal %d %d" s d
+
+let fault_of_words = function
+  | [] -> None
+  | verb :: args -> (
+      let ( let* ) = Result.bind in
+      let num of_string what s =
+        match of_string s with Some v -> Ok v | None -> Error (Printf.sprintf "bad %s %S" what s)
+      in
+      let int = num int_of_string_opt in
+      let arity n = Error (Printf.sprintf "%s takes %d argument(s)" verb n) in
+      let one k = match args with [ s ] -> Result.map k (int "site" s) | _ -> arity 1 in
+      let two what k =
+        match args with
+        | [ a; b ] ->
+            let* a = int "site" a in
+            let* b = what b in
+            Ok (k a b)
+        | _ -> arity 2
+      in
+      let groups () =
+        (* site ids separated by spaces, groups by '|'; no group empty *)
+        let rec go cur acc = function
+          | [] ->
+              let groups = List.rev (List.rev cur :: acc) in
+              if List.exists (function [] -> true | _ :: _ -> false) groups then
+                Error "empty partition group"
+              else Ok (Partition groups)
+          | "|" :: rest -> go [] (List.rev cur :: acc) rest
+          | w :: rest ->
+              let* site = int "site" w in
+              go (site :: cur) acc rest
+        in
+        go [] [] args
+      in
+      match verb with
+      | "fail" -> Some (one (fun s -> Fail s))
+      | "repair" -> Some (one (fun s -> Repair s))
+      | "partition" -> Some (groups ())
+      | "heal" -> Some (match args with [] -> Ok Heal | _ :: _ -> arity 0)
+      | "crash-torn" -> Some (one (fun s -> Crash_torn s))
+      | "bitrot" -> Some (two (int "block") (fun s b -> Bitrot (s, b)))
+      | "disk-replace" -> Some (one (fun s -> Disk_replace s))
+      | "slow-site" ->
+          Some (two (num float_of_string_opt "rate factor") (fun s f -> Slow_site (s, f)))
+      | "queue-flood" -> Some (two (int "flood count") (fun s n -> Queue_flood (s, n)))
+      | "wire-corrupt" -> Some (two (int "site") (fun s d -> Wire_corrupt (s, d)))
+      | "wire-heal" -> Some (two (int "site") (fun s d -> Wire_heal (s, d)))
+      | _ -> None)
+
+let apply cluster = function
+  | Fail s -> Cluster.fail_site cluster s
+  | Repair s -> Cluster.repair_site cluster s
+  | Partition groups -> Cluster.partition cluster groups
+  | Heal -> Cluster.heal cluster
+  | Crash_torn s ->
+      (* Arm the tear, then crash: the site's most recent journaled write
+         is left garbled on the platter for the recovery scrub to replay. *)
+      Cluster.arm_torn_write cluster s;
+      Cluster.fail_site cluster s
+  | Bitrot (site, block) -> Cluster.inject_bitrot cluster ~site ~block
+  | Disk_replace s -> Cluster.replace_disk cluster s
+  | Slow_site (s, f) -> Cluster.set_rate_factor cluster s f
+  | Queue_flood (s, n) -> Cluster.flood_site cluster s ~count:n
+  | Wire_corrupt (from, dst) -> Cluster.corrupt_link cluster ~from ~dst
+  | Wire_heal (from, dst) -> Cluster.heal_link cluster ~from ~dst
 
 (* --- serialization --- *)
 
 let pp_event ppf (time, ev) =
   match ev with
-  | Fail s -> Format.fprintf ppf "@%.4f fail %d" time s
-  | Repair s -> Format.fprintf ppf "@%.4f repair %d" time s
-  | Partition groups ->
-      Format.fprintf ppf "@%.4f partition %s" time
-        (String.concat " | "
-           (List.map (fun g -> String.concat " " (List.map string_of_int g)) groups))
-  | Heal -> Format.fprintf ppf "@%.4f heal" time
-  | Crash_torn s -> Format.fprintf ppf "@%.4f crash-torn %d" time s
-  | Bitrot (s, b) -> Format.fprintf ppf "@%.4f bitrot %d %d" time s b
-  | Disk_replace s -> Format.fprintf ppf "@%.4f disk-replace %d" time s
-  | Slow_site (s, f) -> Format.fprintf ppf "@%.4f slow-site %d %.4f" time s f
+  | Fault f -> Format.fprintf ppf "@%.4f %s" time (fault_to_string f)
   | Burst n -> Format.fprintf ppf "@%.4f burst %d" time n
-  | Queue_flood (s, n) -> Format.fprintf ppf "@%.4f queue-flood %d %d" time s n
-  | Wire_corrupt (s, d) -> Format.fprintf ppf "@%.4f wire-corrupt %d %d" time s d
-  | Wire_heal (s, d) -> Format.fprintf ppf "@%.4f wire-heal %d %d" time s d
 
 let pp_schedule ppf schedule =
   Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_event ppf schedule
@@ -412,63 +491,21 @@ let schedule_of_string text =
     let line = String.trim line in
     if line = "" || line.[0] = '#' then Ok None
     else
-      let fail () = Error (Printf.sprintf "line %d: cannot parse %S" (i + 1) line) in
+      let fail why = Error (Printf.sprintf "line %d: cannot parse %S%s" (i + 1) line why) in
       match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
       | time :: rest when String.length time > 1 && time.[0] = '@' -> (
           match float_of_string_opt (String.sub time 1 (String.length time - 1)) with
-          | None -> fail ()
+          | None -> fail ""
           | Some t -> (
               match rest with
-              | [ "fail"; s ] -> (
-                  match int_of_string_opt s with Some s -> Ok (Some (t, Fail s)) | None -> fail ())
-              | [ "repair"; s ] -> (
-                  match int_of_string_opt s with Some s -> Ok (Some (t, Repair s)) | None -> fail ())
-              | [ "heal" ] -> Ok (Some (t, Heal))
-              | [ "crash-torn"; s ] -> (
-                  match int_of_string_opt s with
-                  | Some s -> Ok (Some (t, Crash_torn s))
-                  | None -> fail ())
-              | [ "bitrot"; s; b ] -> (
-                  match (int_of_string_opt s, int_of_string_opt b) with
-                  | Some s, Some b -> Ok (Some (t, Bitrot (s, b)))
-                  | _ -> fail ())
-              | [ "disk-replace"; s ] -> (
-                  match int_of_string_opt s with
-                  | Some s -> Ok (Some (t, Disk_replace s))
-                  | None -> fail ())
-              | [ "slow-site"; s; f ] -> (
-                  match (int_of_string_opt s, float_of_string_opt f) with
-                  | Some s, Some f -> Ok (Some (t, Slow_site (s, f)))
-                  | _ -> fail ())
               | [ "burst"; n ] -> (
-                  match int_of_string_opt n with Some n -> Ok (Some (t, Burst n)) | None -> fail ())
-              | [ "queue-flood"; s; n ] -> (
-                  match (int_of_string_opt s, int_of_string_opt n) with
-                  | Some s, Some n -> Ok (Some (t, Queue_flood (s, n)))
-                  | _ -> fail ())
-              | [ "wire-corrupt"; s; d ] -> (
-                  match (int_of_string_opt s, int_of_string_opt d) with
-                  | Some s, Some d -> Ok (Some (t, Wire_corrupt (s, d)))
-                  | _ -> fail ())
-              | [ "wire-heal"; s; d ] -> (
-                  match (int_of_string_opt s, int_of_string_opt d) with
-                  | Some s, Some d -> Ok (Some (t, Wire_heal (s, d)))
-                  | _ -> fail ())
-              | "partition" :: groups -> (
-                  let rec split acc cur = function
-                    | [] -> List.rev (List.rev cur :: acc)
-                    | "|" :: rest -> split (List.rev cur :: acc) [] rest
-                    | s :: rest -> (
-                        match int_of_string_opt s with
-                        | Some s -> split acc (s :: cur) rest
-                        | None -> [])
-                  in
-                  match split [] [] groups with
-                  | [] -> fail ()
-                  | gs when List.exists (fun g -> g = []) gs -> fail ()
-                  | gs -> Ok (Some (t, Partition gs)))
-              | _ -> fail ()))
-      | _ -> fail ()
+                  match int_of_string_opt n with Some n -> Ok (Some (t, Burst n)) | None -> fail "")
+              | words -> (
+                  match fault_of_words words with
+                  | Some (Ok f) -> Ok (Some (t, Fault f))
+                  | Some (Error why) -> fail (": " ^ why)
+                  | None -> fail "")))
+      | _ -> fail ""
   in
   let lines = String.split_on_char '\n' text in
   let rec go i acc = function
@@ -512,10 +549,15 @@ let cluster_of_env env =
              ~read_threshold:(Option.value r ~default:majority)
              ~write_threshold:(Option.value w ~default:majority))
   in
+  (* The overload family runs every site behind the default service model
+     and turns the client robustness stack on. *)
+  let overloaded = List.mem Overload env.families in
   Cluster.create
-    (Blockrep.Config.make_exn ~scheme:env.scheme ~n_sites:env.n_sites ~n_blocks:env.n_blocks
-       ?quorum ~seed:env.seed ~fault_profile:env.faults ?service:env.service
-       ~robustness:env.robustness ~encoded_delivery:env.encoded ())
+    (Blockrep.Config.make_exn ~scheme:env.scheme ~n_sites:env.n_sites ~n_blocks ?quorum
+       ~seed:env.seed ~fault_profile:env.faults
+       ?service:(if overloaded then Some Net.Service_model.default else None)
+       ~robustness:(if overloaded then overload_robustness else Blockrep.Robustness.off)
+       ())
 
 (* Maskability guards for media faults.  The paper's disks are fail-stop;
    a latent fault that destroys the {e only} current copy of a block is
@@ -543,21 +585,16 @@ let covered_elsewhere cluster ~victim ~block ~version =
 let stored_version cluster s block =
   Store.version (Runtime.site (Cluster.runtime cluster) s).Runtime.store block
 
-let apply_event cluster = function
-  | Fail s -> if Cluster.site_state cluster s <> Types.Failed then Cluster.fail_site cluster s
-  | Repair s -> if Cluster.site_state cluster s = Types.Failed then Cluster.repair_site cluster s
-  | Partition groups -> Cluster.partition cluster groups
-  | Heal -> Cluster.heal cluster
-  | Crash_torn s ->
-      if Cluster.site_state cluster s = Types.Available then begin
-        Cluster.arm_torn_write cluster s;
-        Cluster.fail_site cluster s
-      end
+(* The chaos filter in front of [apply]: crash and repair events only
+   act on a site in the matching state, and media faults only where they
+   are maskable. *)
+let admissible cluster = function
+  | Fail s -> Cluster.site_state cluster s <> Types.Failed
+  | Repair s -> Cluster.site_state cluster s = Types.Failed
+  | Crash_torn s -> Cluster.site_state cluster s = Types.Available
   | Bitrot (s, b) ->
-      if
-        Cluster.site_state cluster s <> Types.Failed
-        && covered_elsewhere cluster ~victim:s ~block:b ~version:(stored_version cluster s b)
-      then Cluster.inject_bitrot cluster ~site:s ~block:b
+      Cluster.site_state cluster s <> Types.Failed
+      && covered_elsewhere cluster ~victim:s ~block:b ~version:(stored_version cluster s b)
   | Disk_replace s ->
       let n_blocks = Cluster.n_blocks cluster in
       let rec all_covered b =
@@ -565,12 +602,8 @@ let apply_event cluster = function
         || (covered_elsewhere cluster ~victim:s ~block:b ~version:(stored_version cluster s b)
            && all_covered (b + 1))
       in
-      if all_covered 0 then Cluster.replace_disk cluster s
-  | Slow_site (s, f) -> Cluster.set_rate_factor cluster s f
-  | Queue_flood (s, n) -> Cluster.flood_site cluster s ~count:n
-  | Wire_corrupt (s, d) -> Cluster.corrupt_link cluster ~from:s ~dst:d
-  | Wire_heal (s, d) -> Cluster.heal_link cluster ~from:s ~dst:d
-  | Burst _ -> () (* handled by the workload loop, not the cluster *)
+      all_covered 0
+  | Partition _ | Heal | Slow_site _ | Queue_flood _ | Wire_corrupt _ | Wire_heal _ -> true
 
 let run_against env ~cluster ~schedule =
   let engine = Cluster.engine cluster in
@@ -592,7 +625,7 @@ let run_against env ~cluster ~schedule =
         !best)
   in
   let baseline block = baseline_tbl.(block) in
-  let device = Blockrep.Reliable_device.create ?settle:env.settle cluster in
+  let device = Blockrep.Reliable_device.create cluster in
   let history = History.create () in
   History.attach_stub history (Blockrep.Reliable_device.stub device);
   (* No coalescing timer here: a timer can close the window in the middle
@@ -626,30 +659,32 @@ let run_against env ~cluster ~schedule =
         else
           Some
             (Sim.Engine.schedule_at engine ~time (fun () ->
-                 (* Flush-on-failover: commit the dirty set before the
-                    fault lands (reentrant flushes are ignored by the
-                    cache, so a flush already in flight is safe). *)
-                 (match ev with
-                 | Fail _ | Partition _ | Crash_torn _ | Disk_replace _ -> flush_cache ()
-                 | Repair _ | Heal | Bitrot _ | Slow_site _ | Burst _ | Queue_flood _
-                 | Wire_corrupt _ | Wire_heal _ ->
-                     ());
-                 (match ev with Burst n -> burst_credit := !burst_credit + n | _ -> ());
-                 apply_event cluster ev)))
+                 match ev with
+                 | Burst n -> burst_credit := !burst_credit + n
+                 | Fault f ->
+                     (* Flush-on-failover: commit the dirty set before the
+                        fault lands (reentrant flushes are ignored by the
+                        cache, so a flush already in flight is safe). *)
+                     (match f with
+                     | Fail _ | Partition _ | Crash_torn _ | Disk_replace _ -> flush_cache ()
+                     | Repair _ | Heal | Bitrot _ | Slow_site _ | Queue_flood _ | Wire_corrupt _
+                     | Wire_heal _ ->
+                         ());
+                     if admissible cluster f then apply cluster f)))
       schedule
   in
   let gap_rng = Prng.create (env.seed lxor 0x676170) in
   let gen =
     Workload.Access_gen.create
       ~rng:(Prng.create (env.seed lxor 0x6f7073))
-      ~n_blocks ~reads_per_write:env.reads_per_write
+      ~n_blocks ~reads_per_write
       ~payload_seed:(Printf.sprintf "chaos-%d" env.seed)
       ()
   in
   let ops_ok = ref 0 and ops_failed = ref 0 in
   for _ = 1 to env.ops do
     if !burst_credit > 0 then decr burst_credit
-    else Cluster.run_until cluster (Sim.Engine.now engine +. exp_sample gap_rng env.mean_gap);
+    else Cluster.run_until cluster (Sim.Engine.now engine +. exp_sample gap_rng mean_gap);
     in_op := true;
     (match Workload.Access_gen.next gen with
     | Workload.Access_gen.Read block -> (
@@ -707,10 +742,9 @@ let run_against env ~cluster ~schedule =
                (Cluster.corrupt_survived cluster));
         ]
   in
-  if env.readback then
-    for block = 0 to n_blocks - 1 do
-      ignore (Blockrep.Reliable_device.read_block device block)
-    done;
+  for block = 0 to n_blocks - 1 do
+    ignore (Blockrep.Reliable_device.read_block device block)
+  done;
   let oracle = Oracle.check ~baseline history in
   {
     seed = env.seed;

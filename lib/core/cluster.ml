@@ -458,13 +458,11 @@ let install_faults t f = Runtime.Transport.install_faults (Runtime.net t.rt) f
 
 (* Per-link corruption control for chaos events: a wire-corrupt episode
    turns one directed link into a persistent corruptor; heal restores the
-   injector's ambient profile.  Requires an installed injector (encoded
-   envelopes always run with one) — without it there are no corruption
-   draws to make, so this is a documented no-op. *)
+   injector's ambient profile.  A cluster built with a pristine profile
+   gets a pristine injector on demand, so the episode is never a silent
+   no-op and the other links draw nothing. *)
 let corrupt_link t ~from ~dst =
-  match faults t with
-  | Some f -> Net.Faults.set_link f ~from ~dst Net.Faults.persistent_corruptor
-  | None -> ()
+  Net.Faults.set_link (Runtime.injector t.rt) ~from ~dst Net.Faults.persistent_corruptor
 
 let heal_link t ~from ~dst =
   match faults t with

@@ -178,15 +178,18 @@ val install_faults : t -> Net.Faults.t -> unit
 
 val corrupt_link : t -> from:int -> dst:int -> unit
 (** Turn one directed link into a persistent corruptor (every delivery
-    gets a bit flipped): the [wire-corrupt] chaos event.  No-op without
-    an installed injector. *)
+    gets a bit flipped): the [wire-corrupt] chaos event.  Installs a
+    pristine injector first when the cluster has none (see
+    {!Runtime.injector}); either way the injector is then corrupting, so
+    the network carries encoded frames from here on. *)
 
 val heal_link : t -> from:int -> dst:int -> unit
 (** Restore a corrupted link to the injector's default profile. *)
 
 (** {1 Hardened-ingress counters (encoded delivery)}
 
-    All read zero when the config leaves [encoded_delivery] off. *)
+    All read zero until the injector corrupts: before that, frames travel
+    in-heap and nothing is decoded. *)
 
 val frames_rejected : t -> int
 (** Frames the ingress decode refused, all reject classes summed. *)

@@ -13,14 +13,12 @@ type t = {
   service : Net.Service_model.t option;
   robustness : Robustness.t;
   sync_profile : Blockdev.Sync_cost.profile option;
-  encoded_delivery : bool;
-  quarantine : Net.Network.quarantine;
 }
 
 let make ~scheme ~n_sites ?(n_blocks = 64) ?(net_mode = Net.Network.Multicast)
     ?(latency = Util.Dist.Constant 0.5) ?op_timeout ?quorum ?(witnesses = []) ?(track_liveness = false)
     ?(seed = 42) ?(fault_profile = Net.Faults.pristine) ?service ?(robustness = Robustness.off) ?sync_profile
-    ?(encoded_delivery = false) ?(quarantine = Net.Network.default_quarantine) () =
+    () =
   if n_sites < 1 then Error "need at least one site"
   else if n_blocks < 1 then Error "need at least one block"
   else begin
@@ -43,13 +41,6 @@ let make ~scheme ~n_sites ?(n_blocks = 64) ?(net_mode = Net.Network.Multicast)
           else begin
             match Net.Faults.validate_profile fault_profile with
             | Error e -> Error ("bad fault profile: " ^ e)
-            | Ok _
-              when (not encoded_delivery)
-                   && not (Net.Faults.corruption_is_trivial fault_profile.Net.Faults.corruption) ->
-                (* The PR 6 lesson: a knob that can silently inject nothing
-                   is a bug factory.  Corruption damages encoded bytes, so
-                   without encoded delivery it would be exactly that. *)
-                Error "corruption injection requires encoded_delivery (there are no wire bytes to damage otherwise)"
             | Ok fault_profile -> (
                 let service_ok =
                   match service with
@@ -64,10 +55,7 @@ let make ~scheme ~n_sites ?(n_blocks = 64) ?(net_mode = Net.Network.Multicast)
                 | Ok service -> (
                     match Robustness.validate robustness with
                     | Error e -> Error ("bad robustness config: " ^ e)
-                    | Ok robustness -> (
-                        match Net.Network.validate_quarantine quarantine with
-                        | Error e -> Error ("bad quarantine policy: " ^ e)
-                        | Ok quarantine ->
+                    | Ok robustness ->
                         Ok
                           {
                             scheme;
@@ -84,20 +72,16 @@ let make ~scheme ~n_sites ?(n_blocks = 64) ?(net_mode = Net.Network.Multicast)
                             service;
                             robustness;
                             sync_profile;
-                            encoded_delivery;
-                            quarantine;
-                          })))
+                          }))
           end
         end
   end
 
 let make_exn ~scheme ~n_sites ?n_blocks ?net_mode ?latency ?op_timeout ?quorum ?witnesses
-    ?track_liveness ?seed ?fault_profile ?service ?robustness ?sync_profile ?encoded_delivery
-    ?quarantine () =
+    ?track_liveness ?seed ?fault_profile ?service ?robustness ?sync_profile () =
   match
     make ~scheme ~n_sites ?n_blocks ?net_mode ?latency ?op_timeout ?quorum ?witnesses
-      ?track_liveness ?seed ?fault_profile ?service ?robustness ?sync_profile ?encoded_delivery
-      ?quarantine ()
+      ?track_liveness ?seed ?fault_profile ?service ?robustness ?sync_profile ()
   with
   | Ok t -> t
   | Error msg -> invalid_arg ("Config.make: " ^ msg)

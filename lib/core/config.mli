@@ -28,7 +28,10 @@ type t = private {
       (** default per-link fault injection ({!Net.Faults.pristine} unless
           overridden): with the pristine profile no injector is installed
           at all, so the cluster is bit-identical to one built before the
-          fault layer existed *)
+          fault layer existed.  A profile with non-trivial corruption also
+          switches the network to encoded frames and the hardened ingress
+          (see {!Net.Network.Make.install_faults}); every other profile
+          keeps in-heap delivery. *)
   service : Net.Service_model.t option;
       (** per-site service model: [None] (the default) keeps sites
           infinitely fast, exactly the paper's environment; [Some m] puts
@@ -42,17 +45,6 @@ type t = private {
           commit points (see {!Blockdev.Sync_cost}): [None] (the default)
           charges nothing — the paper's free-disk environment,
           bit-identical to pre-model behaviour *)
-  encoded_delivery : bool;
-      (** [true] routes every message through its encoded {!Wire} frame and
-          the hardened decode-at-ingress path; [false] (the default) is the
-          legacy in-heap delivery, bit-identical to before the codec became
-          the transport.  Required for byte-level corruption injection:
-          {!make} refuses a profile with non-trivial corruption when this
-          is off, because it would silently inject nothing. *)
-  quarantine : Net.Network.quarantine;
-      (** poison-frame quarantine policy of the hardened ingress (only
-          consulted in encoded mode);
-          {!Net.Network.default_quarantine} by default *)
 }
 
 val make :
@@ -70,15 +62,12 @@ val make :
   ?service:Net.Service_model.t ->
   ?robustness:Robustness.t ->
   ?sync_profile:Blockdev.Sync_cost.profile ->
-  ?encoded_delivery:bool ->
-  ?quarantine:Net.Network.quarantine ->
   unit ->
   (t, string) result
 (** Defaults: 64 blocks, multicast, constant latency 0.5 time units,
     timeout 8 latencies, majority quorum, no witnesses,
     [track_liveness = false], seed 42, pristine fault profile, no service
-    model, robustness off, no sync-write cost, in-heap delivery with the
-    default quarantine policy. *)
+    model, robustness off, no sync-write cost. *)
 
 val make_exn :
   scheme:Types.scheme ->
@@ -95,8 +84,6 @@ val make_exn :
   ?service:Net.Service_model.t ->
   ?robustness:Robustness.t ->
   ?sync_profile:Blockdev.Sync_cost.profile ->
-  ?encoded_delivery:bool ->
-  ?quarantine:Net.Network.quarantine ->
   unit ->
   t
 (** Like {!make}; raises [Invalid_argument] instead. *)

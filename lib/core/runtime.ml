@@ -45,16 +45,19 @@ type t = {
   mutable round_probes : (coordinator:int -> deadline:float option -> expected:Types.Int_set.t -> unit) list;
 }
 
+(* A fault injector gets its own seeded stream, leaving the latency and
+   workload streams of the same seed untouched. *)
+let injector_of (config : Config.t) profile =
+  Net.Faults.of_seed ~seed:(config.seed lxor 0x6661756c74) profile
+
 let create (config : Config.t) =
   let engine = Sim.Engine.create () in
   let rng = Util.Prng.create config.seed in
   (* A pristine profile installs no injector at all, so the network takes
-     the exact legacy delivery path (the default-off no-op guarantee); a
-     live profile gets its own seeded stream, leaving the latency and
-     workload streams of this seed untouched. *)
+     the exact legacy delivery path (the default-off no-op guarantee). *)
   let faults =
     if Net.Faults.is_pristine config.fault_profile then None
-    else Some (Net.Faults.of_seed ~seed:(config.seed lxor 0x6661756c74) config.fault_profile)
+    else Some (injector_of config config.fault_profile)
   in
   let net =
     Transport.create ?faults engine ~mode:config.net_mode ~latency:config.latency
@@ -66,10 +69,6 @@ let create (config : Config.t) =
   | None -> ()
   | Some model ->
       Transport.install_service net model ~rng:(Util.Prng.create (config.seed lxor 0x73657276)));
-  if config.encoded_delivery then begin
-    Transport.set_encoded net true;
-    Transport.set_quarantine net config.quarantine
-  end;
   let breakers =
     match config.robustness.Robustness.breaker with
     | None -> None
@@ -82,12 +81,13 @@ let create (config : Config.t) =
      sender's link, so the receiver charges its breaker for that peer:
      a persistently corrupting link trips open exactly like a dead or
      slow one.  Successes stay round-based (see [finish_round]) — a
-     clean decode is not yet a served request. *)
+     clean decode is not yet a served request.  In-heap deliveries never
+     reject, so the hook only fires once the injector corrupts. *)
   (match breakers with
-  | Some m when config.encoded_delivery ->
+  | Some m ->
       Transport.set_reject_hook net (fun ~dst ~from _reject ->
           if dst <> from then Breaker.record_failure m.(dst).(from))
-  | _ -> ());
+  | None -> ());
   let make_site id =
     let durable = Blockdev.Durable_store.create ~capacity:config.n_blocks in
     let everyone = List.init config.n_sites Fun.id in
@@ -137,6 +137,14 @@ let site t i =
 
 let sites t = t.sites
 let rng t = t.rng
+
+let injector t =
+  match Transport.faults t.net with
+  | Some f -> f
+  | None ->
+      let f = injector_of t.config Net.Faults.pristine in
+      Transport.install_faults t.net f;
+      f
 
 let set_dispatch t f = t.dispatch <- f
 

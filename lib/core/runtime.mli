@@ -57,6 +57,12 @@ val site : t -> int -> site
 val sites : t -> site array
 val rng : t -> Util.Prng.t
 
+val injector : t -> Net.Faults.t
+(** The network's fault injector.  With none installed yet (the config's
+    profile was pristine), installs a pristine one seeded exactly as
+    {!create} seeds a configured one: a pristine link draws nothing, so
+    the run is unchanged until some link is given a profile. *)
+
 val set_dispatch : t -> (site -> from:int -> Wire.t -> unit) -> unit
 (** Install the protocol's message handler.  It runs only at sites that are
     up at delivery time. *)

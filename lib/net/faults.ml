@@ -94,6 +94,10 @@ type t = {
   links : (int * int, profile) Hashtbl.t;
   counters : counters;
   last_frames : (int * int, Bytes.t) Hashtbl.t; (* splice partners, per link *)
+  (* Sticky: set once any link of this injector is given non-trivial
+     corruption, never cleared by a heal — the network then keeps
+     carrying encoded frames for the rest of the run. *)
+  mutable corrupting : bool;
 }
 
 let create ~rng profile =
@@ -119,6 +123,7 @@ let create ~rng profile =
             corrupted = 0;
           };
         last_frames = Hashtbl.create 8;
+        corrupting = not (corruption_is_trivial default.corruption);
       }
 
 let of_seed ~seed profile = create ~rng:(Util.Prng.create seed) profile
@@ -126,12 +131,15 @@ let of_seed ~seed profile = create ~rng:(Util.Prng.create seed) profile
 let set_link t ~from ~dst profile =
   match validate_profile profile with
   | Error msg -> invalid_arg ("Faults.set_link: " ^ msg)
-  | Ok p -> Hashtbl.replace t.links (from, dst) p
+  | Ok p ->
+      if not (corruption_is_trivial p.corruption) then t.corrupting <- true;
+      Hashtbl.replace t.links (from, dst) p
 
 let link_profile t ~from ~dst =
   match Hashtbl.find_opt t.links (from, dst) with Some p -> p | None -> t.default
 
 let default_profile t = t.default
+let corrupting t = t.corrupting
 
 (* A fault plan never perturbs the traffic counters: transmissions are
    accounted at send time, exactly as Section 5 counts them; faults only

@@ -21,9 +21,10 @@
     injector owns a dedicated RNG, so enabling faults never perturbs the
     latency or workload streams of the same seed. *)
 
-(** Byte-level wire damage, applied to the {e encoded frame} of a delivery
-    when the network runs in encoded mode (no-op otherwise — there are no
-    bytes to damage).  Independent per-delivery probabilities; every kind
+(** Byte-level wire damage, applied to the {e encoded frame} of a delivery.
+    A network encodes its traffic as soon as its injector can corrupt (see
+    {!corrupting}), so a non-trivial corruption profile always has bytes
+    to damage.  Independent per-delivery probabilities; every kind
     that fires actually changes the byte string (a splice of two identical
     frames is the one exception, and the ingress accounts it as a
     corruption the decoder survived). *)
@@ -46,7 +47,7 @@ type profile = {
   reorder : float;  (** probability of an extra deferring jitter draw *)
   jitter : Util.Dist.t;  (** random extra delay, drawn on every delivery *)
   extra_delay : float;  (** deterministic extra latency, every delivery *)
-  corruption : corruption;  (** byte-level damage, encoded mode only *)
+  corruption : corruption;  (** byte-level damage to the encoded frame *)
 }
 
 val pristine : profile
@@ -99,12 +100,22 @@ val of_seed : seed:int -> profile -> t
 (** Convenience: [create] with a fresh SplitMix64 stream. *)
 
 val set_link : t -> from:int -> dst:int -> profile -> unit
-(** Override the profile of one directed link. *)
+(** Override the profile of one directed link.  A profile with non-trivial
+    corruption makes the injector {!corrupting}. *)
 
 val link_profile : t -> from:int -> dst:int -> profile
 (** The profile governing [from -> dst] (the default unless overridden). *)
 
 val default_profile : t -> profile
+
+val corrupting : t -> bool
+(** Whether this injector can damage bytes: its default profile carries
+    non-trivial corruption, or {!set_link} has ever given a link some.
+    Sticky — healing the link does not clear it.  {!Network} delivers
+    encoded frames exactly when its injector is corrupting; links without
+    corruption then cost no extra draws ({!corrupt} draws nothing on
+    them) and a clean frame decodes to the payload it carries, so the
+    switch is draw-for-draw invisible. *)
 
 val plan : t -> from:int -> dst:int -> float list
 (** Decide the fate of one delivery on a link: a list of extra delays, one

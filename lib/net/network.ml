@@ -11,16 +11,6 @@ type mode = Multicast | Unicast
 
 let mode_to_string = function Multicast -> "multicast" | Unicast -> "unicast"
 
-type quarantine = { threshold : int; cooldown : float }
-
-let default_quarantine = { threshold = 3; cooldown = 20.0 }
-
-let validate_quarantine q =
-  if q.threshold < 1 then Error "quarantine threshold must be >= 1"
-  else if q.cooldown <= 0.0 || Float.is_nan q.cooldown then
-    Error "quarantine cooldown must be positive"
-  else Ok q
-
 (* Link-layer redelivery budget of encoded mode: a CRC-rejected frame is
    redelivered (fresh latency + corruption draws) at most this many times
    before the loss becomes the retry layer's problem.  At ambient per-frame
@@ -28,6 +18,12 @@ let validate_quarantine q =
    probabilistic corruption inside every chaos envelope; a persistent
    (p = 1) corruptor defeats any finite budget by design. *)
 let redelivery_budget = 6
+
+(* Poison-frame quarantine: this many consecutive decode failures from one
+   sender put the (receiver, sender) link in quarantine for
+   [quarantine_cooldown] simulated seconds. *)
+let quarantine_threshold = 3
+let quarantine_cooldown = 20.0
 
 module Make (P : PAYLOAD) = struct
   type t = {
@@ -50,12 +46,6 @@ module Make (P : PAYLOAD) = struct
        rng draws, bit-identical behaviour. *)
     mutable service : (Service_model.t * Util.Prng.t) option;
     servers : Sim.Server.t option array;
-    (* Encoded delivery: when on, payloads cross the wire as their encoded
-       frames and the receive path re-decodes (and may reject) them.  Off
-       (the default) is the exact legacy in-heap path — no encode, no
-       decode, no extra rng draws, bit-identical behaviour. *)
-    mutable encoded : bool;
-    mutable quarantine : quarantine;
     qstates : (int * int, qstate) Hashtbl.t; (* keyed (receiver, sender) *)
     mutable reject_hook : (dst:int -> from:int -> Message.reject -> unit) option;
     mutable corrupt_rejected : int;
@@ -83,8 +73,6 @@ module Make (P : PAYLOAD) = struct
       faults;
       service = None;
       servers = Array.make n_sites None;
-      encoded = false;
-      quarantine = default_quarantine;
       qstates = Hashtbl.create 8;
       reject_hook = None;
       corrupt_rejected = 0;
@@ -100,15 +88,6 @@ module Make (P : PAYLOAD) = struct
   let traffic t = t.traffic
   let faults t = t.faults
   let install_faults t f = t.faults <- Some f
-  let set_encoded t on = t.encoded <- on
-  let encoded t = t.encoded
-
-  let set_quarantine t q =
-    match validate_quarantine q with
-    | Ok q -> t.quarantine <- q
-    | Error msg -> invalid_arg ("Network.set_quarantine: " ^ msg)
-
-  let quarantine_policy t = t.quarantine
   let set_reject_hook t hook = t.reject_hook <- Some hook
   let frames_retransmitted t = t.retransmissions
   let quarantine_trips t = t.quarantine_trips
@@ -236,8 +215,8 @@ module Make (P : PAYLOAD) = struct
                  ignore (Sim.Server.submit srv ~cost (fun () -> if t.up.(dst) then handle_now ()) : bool))
         : Sim.Engine.handle)
 
-  (* Poison-frame quarantine, keyed (receiver, sender): [threshold]
-     consecutive decode failures put the link in a [cooldown]-long window
+  (* Poison-frame quarantine, keyed (receiver, sender): [quarantine_threshold]
+     consecutive decode failures put the link in a [quarantine_cooldown]-long window
      during which arriving frames are discarded {e undecoded} — a flooding
      corruptor cannot make the receiver burn a decode attempt per frame.
      A clean decode resets the strike count. *)
@@ -261,9 +240,9 @@ module Make (P : PAYLOAD) = struct
           q
     in
     q.strikes <- q.strikes + 1;
-    if q.strikes >= t.quarantine.threshold then begin
+    if q.strikes >= quarantine_threshold then begin
       q.strikes <- 0;
-      q.blocked_until <- now +. t.quarantine.cooldown;
+      q.blocked_until <- now +. quarantine_cooldown;
       t.quarantine_trips <- t.quarantine_trips + 1
     end
 
@@ -319,15 +298,11 @@ module Make (P : PAYLOAD) = struct
                  ignore (Sim.Server.submit srv ~cost (fun () -> if t.up.(dst) then ingest ()) : bool))
         : Sim.Engine.handle)
 
-  let deliver_encoded t ~from ~dst ~cat ~frame =
-    if t.up.(dst) then begin
-      match t.faults with
-      | None -> schedule_encoded t ~from ~dst ~cat ~frame ~extra:0.0 ~budget:redelivery_budget
-      | Some f ->
-          List.iter
-            (fun extra -> schedule_encoded t ~from ~dst ~cat ~frame ~extra ~budget:redelivery_budget)
-            (Faults.plan f ~from ~dst)
-    end
+  let deliver_encoded t f ~from ~dst ~cat ~frame =
+    if t.up.(dst) then
+      List.iter
+        (fun extra -> schedule_encoded t ~from ~dst ~cat ~frame ~extra ~budget:redelivery_budget)
+        (Faults.plan f ~from ~dst)
 
   let deliver t ~from ~dst payload =
     if t.up.(dst) then begin
@@ -344,26 +319,30 @@ module Make (P : PAYLOAD) = struct
     if not t.up.(from) then invalid_arg "Network.send: sender is down";
     Traffic.record t.traffic ~bytes:(P.size payload) op (P.category payload) 1;
     if reachable t from dst then
-      if t.encoded then
-        deliver_encoded t ~from ~dst ~cat:(P.category payload) ~frame:(P.encode payload)
-      else deliver t ~from ~dst payload
+      (* Frames cross the wire encoded exactly when the injector can damage
+         them; every other run keeps the in-heap path (no encode, no
+         decode). *)
+      match t.faults with
+      | Some f when Faults.corrupting f ->
+          deliver_encoded t f ~from ~dst ~cat:(P.category payload) ~frame:(P.encode payload)
+      | Some _ | None -> deliver t ~from ~dst payload
 
   let broadcast t ~op ~from payload =
     check_site t from "broadcast";
     if not t.up.(from) then invalid_arg "Network.broadcast: sender is down";
     let cost = match t.mode with Multicast -> 1 | Unicast -> t.n_sites - 1 in
     Traffic.record t.traffic ~bytes:(cost * P.size payload) op (P.category payload) cost;
-    if t.encoded then begin
-      (* encode once; per-destination damage works on its own copy *)
-      let cat = P.category payload and frame = P.encode payload in
-      for dst = 0 to t.n_sites - 1 do
-        if dst <> from && reachable t from dst then deliver_encoded t ~from ~dst ~cat ~frame
-      done
-    end
-    else
-      for dst = 0 to t.n_sites - 1 do
-        if dst <> from && reachable t from dst then deliver t ~from ~dst payload
-      done
+    match t.faults with
+    | Some f when Faults.corrupting f ->
+        (* encode once; per-destination damage works on its own copy *)
+        let cat = P.category payload and frame = P.encode payload in
+        for dst = 0 to t.n_sites - 1 do
+          if dst <> from && reachable t from dst then deliver_encoded t f ~from ~dst ~cat ~frame
+        done
+    | Some _ | None ->
+        for dst = 0 to t.n_sites - 1 do
+          if dst <> from && reachable t from dst then deliver t ~from ~dst payload
+        done
 
   let messages_delivered t = t.delivered
 end

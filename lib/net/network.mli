@@ -23,9 +23,9 @@ module type PAYLOAD = sig
   (** Category under which a payload's transmission is accounted. *)
 
   val size : t -> int
-  (** Payload size in bytes, for the byte-level accounting of
-      {!Traffic}.  An estimate is fine; only relative magnitudes matter to
-      the Section 5 size remark. *)
+  (** The payload's measured frame length in bytes, [Bytes.length (encode
+      p)]: what {!Traffic} charges per transmission, whichever delivery
+      path the frame then takes. *)
 
   val encode : t -> Bytes.t
   (** The payload's wire frame, for encoded delivery.  Must round-trip:
@@ -41,23 +41,21 @@ type mode = Multicast | Unicast
 
 val mode_to_string : mode -> string
 
-type quarantine = { threshold : int; cooldown : float }
-(** Poison-frame quarantine policy: after [threshold] consecutive decode
-    failures from one sender, the receiver discards that link's frames
-    {e undecoded} for [cooldown] simulated seconds. *)
-
-val default_quarantine : quarantine
-(** threshold 3, cooldown 20.0. *)
-
-val validate_quarantine : quarantine -> (quarantine, string) result
-
 val redelivery_budget : int
-(** Link-layer redelivery budget of encoded mode: how many times a
+(** Link-layer redelivery budget of encoded delivery (6): how many times a
     CRC-rejected frame is re-sent from the sender's pristine copy (fresh
     latency and corruption draws) before the loss is left to the retry
     layer's timeouts.  Ambient corruption at per-frame rate [p] thus has
     residual loss [p^(budget+1)]; a persistent ([p = 1]) corruptor defeats
     the budget by design and is the circuit breaker's job. *)
+
+val quarantine_threshold : int
+(** Poison-frame quarantine (3): after this many consecutive decode
+    failures from one sender, the receiver discards that link's frames
+    {e undecoded} for {!quarantine_cooldown}. *)
+
+val quarantine_cooldown : float
+(** Length of a quarantine window, in simulated seconds (20.0). *)
 
 module Make (P : PAYLOAD) : sig
   type t
@@ -85,34 +83,26 @@ module Make (P : PAYLOAD) : sig
   val install_faults : t -> Faults.t -> unit
   (** Install (or replace) the fault injector; affects deliveries scheduled
       from now on.  Transmission accounting is never affected — Section 5
-      charges the send, not the arrival. *)
+      charges the send, not the arrival.
 
-  val set_encoded : t -> bool -> unit
-  (** Toggle encoded delivery.  When on, every payload crosses the wire as
-      its {!PAYLOAD.encode} frame and the receiver re-decodes it through
-      the hardened ingress: injector byte damage, then quarantine, then
+      The injector also picks the delivery path.  While it is
+      {!Faults.corrupting}, every payload crosses the wire as its
+      {!PAYLOAD.encode} frame and the receiver re-decodes it through the
+      hardened ingress: injector byte damage, then quarantine, then
       {!PAYLOAD.decode_frame} — a rejected frame is counted per class in
       {!Traffic}, reported to the reject hook, redelivered while the
       {!redelivery_budget} lasts, and otherwise lost (the sender's round
-      recovers by timeout).  Off (the default) is the legacy in-heap path:
-      no encode, no decode, no extra rng draws — bit-identical.  With no
-      corruption configured, encoded mode is also draw-for-draw identical
-      to the legacy path (only CPU cost differs). *)
-
-  val encoded : t -> bool
-
-  val set_quarantine : t -> quarantine -> unit
-  (** Replace the quarantine policy (validated; raises [Invalid_argument]
-      on a bad one).  Affects strikes counted from now on. *)
-
-  val quarantine_policy : t -> quarantine
+      recovers by timeout).  Otherwise — no injector, or one that cannot
+      corrupt — payloads travel in-heap: no encode, no decode.  The two
+      paths are draw-for-draw identical on links without corruption; only
+      CPU cost differs. *)
 
   val set_reject_hook : t -> (dst:int -> from:int -> Message.reject -> unit) -> unit
   (** Called on every rejected frame with the receiver and claimed sender —
       the runtime feeds these into the receiver's per-peer circuit breaker
       so a persistently corrupting link trips open like a dead peer. *)
 
-  (** {2 Ingress counters (encoded mode)} *)
+  (** {2 Ingress counters (encoded delivery; zero on in-heap runs)} *)
 
   val frames_retransmitted : t -> int
   (** Link-layer redeliveries triggered by rejected frames. *)

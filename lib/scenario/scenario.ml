@@ -1,14 +1,6 @@
 type action =
-  | Fail of int
-  | Repair of int
-  | Partition of int list list
-  | Heal
-  | Crash_torn of int
-  | Bitrot of int * int
-  | Disk_replace of int
-  | Slow_site of int * float
+  | Fault of Check.Chaos.fault
   | Burst of int * int
-  | Queue_flood of int * int
   | Write of int * int * string
   | Read of int * int
   | Expect_read of int * int * string
@@ -94,51 +86,13 @@ let parse_float ~line what s =
 
 let ( let* ) = Result.bind
 
-let parse_groups ~line words =
-  (* partition syntax: site ids separated by spaces, groups by '|'. *)
-  let rec go current acc = function
-    | [] -> Ok (List.rev (List.rev current :: acc))
-    | "|" :: rest -> go [] (List.rev current :: acc) rest
-    | w :: rest ->
-        let* site = parse_int ~line "site" w in
-        go (site :: current) acc rest
-  in
-  go [] [] words
-
-let parse_action ~line words =
+(* The verbs this driver owns; cluster faults are Chaos's (see below). *)
+let parse_own_action ~line words =
   match words with
-  | [ "fail"; s ] ->
-      let* s = parse_int ~line "site" s in
-      Ok (Fail s)
-  | [ "repair"; s ] ->
-      let* s = parse_int ~line "site" s in
-      Ok (Repair s)
-  | "partition" :: rest ->
-      let* groups = parse_groups ~line rest in
-      Ok (Partition groups)
-  | [ "heal" ] -> Ok Heal
-  | [ "crash-torn"; s ] ->
-      let* s = parse_int ~line "site" s in
-      Ok (Crash_torn s)
-  | [ "bitrot"; s; b ] ->
-      let* s = parse_int ~line "site" s in
-      let* b = parse_int ~line "block" b in
-      Ok (Bitrot (s, b))
-  | [ "disk-replace"; s ] ->
-      let* s = parse_int ~line "site" s in
-      Ok (Disk_replace s)
-  | [ "slow-site"; s; f ] ->
-      let* s = parse_int ~line "site" s in
-      let* f = parse_float ~line "rate factor" f in
-      Ok (Slow_site (s, f))
   | [ "burst"; s; n ] ->
       let* s = parse_int ~line "site" s in
       let* n = parse_int ~line "burst size" n in
       Ok (Burst (s, n))
-  | [ "queue-flood"; s; n ] ->
-      let* s = parse_int ~line "site" s in
-      let* n = parse_int ~line "flood count" n in
-      Ok (Queue_flood (s, n))
   | [ "write"; s; b; payload ] ->
       let* s = parse_int ~line "site" s in
       let* b = parse_int ~line "block" b in
@@ -173,6 +127,12 @@ let parse_action ~line words =
   | [ "check-invariants" ] -> Ok Check_invariants
   | cmd :: _ -> Error (Printf.sprintf "line %d: unknown command %S" line cmd)
   | [] -> Error (Printf.sprintf "line %d: empty event" line)
+
+let parse_action ~line words =
+  match Check.Chaos.fault_of_words words with
+  | Some (Ok f) -> Ok (Fault f)
+  | Some (Error e) -> Error (Printf.sprintf "line %d: %s" line e)
+  | None -> parse_own_action ~line words
 
 let parse_header_line header ~line words =
   match words with
@@ -320,18 +280,7 @@ let run t =
     incr events_run;
     let line = ev.line in
     match ev.action with
-    | Fail s -> Blockrep.Cluster.fail_site cluster s
-    | Repair s -> Blockrep.Cluster.repair_site cluster s
-    | Partition groups -> Blockrep.Cluster.partition cluster groups
-    | Heal -> Blockrep.Cluster.heal cluster
-    | Crash_torn s ->
-        (* Arm the tear, then crash: the site's most recent journaled write
-           is left garbled on the platter for the recovery scrub to replay. *)
-        Blockrep.Cluster.arm_torn_write cluster s;
-        Blockrep.Cluster.fail_site cluster s
-    | Bitrot (site, block) -> Blockrep.Cluster.inject_bitrot cluster ~site ~block
-    | Disk_replace s -> Blockrep.Cluster.replace_disk cluster s
-    | Slow_site (s, f) -> Blockrep.Cluster.set_rate_factor cluster s f
+    | Fault f -> Check.Chaos.apply cluster f
     | Burst (site, n) ->
         (* Arrival pressure: [n] back-to-back client reads of block 0 at
            the site, answers discarded — with a service model installed
@@ -339,7 +288,6 @@ let run t =
         for _ = 1 to n do
           Blockrep.Cluster.read cluster ~site ~block:0 (fun _ -> ())
         done
-    | Queue_flood (s, n) -> Blockrep.Cluster.flood_site cluster s ~count:n
     | Write (site, block, payload) ->
         Blockrep.Cluster.write cluster ~site ~block (Blockdev.Block.of_string payload) (function
           | Ok _ -> ()

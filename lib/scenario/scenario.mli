@@ -43,6 +43,8 @@
     @70   slow-site 1 1             # ...and recovers to full speed
     @75   burst 0 30                # 30 back-to-back client reads at site 0
     @80   queue-flood 2 48          # 48 junk jobs into site 2's work queue
+    @85   wire-corrupt 1 0          # link 1 -> 0 flips a bit in every frame
+    @88   wire-heal 1 0             # ...and carries clean frames again
     @90   expect-state 1 available
     @95   expect-available true
     @99   expect-consistent       # available stores agree
@@ -50,7 +52,21 @@
     @101  check-invariants        # full Check.Invariant scan (run at a
                                   # quiescent point; every violation is
                                   # reported as an expectation failure)
-    v} *)
+    v}
+
+    The eleven cluster-fault verbs ([fail] through [queue-flood] above,
+    plus [wire-corrupt]/[wire-heal]) are {!Check.Chaos}'s: parsed by
+    {!Check.Chaos.fault_of_words} (so a partition group may not be empty)
+    and applied by {!Check.Chaos.apply} — unconditionally, without the
+    chaos harness's maskability filter.  [wire-corrupt] works on any
+    cluster: without fault directives it installs a pristine injector
+    first, and from then on frames travel encoded through the hardened
+    ingress.
+
+    [burst] is the one verb each driver defines for itself: here
+    [burst SITE N] issues [N] back-to-back client reads of block 0 at
+    [SITE]; in a chaos schedule, [burst N] makes the workload skip its
+    think time for the next [N] operations. *)
 
 type t
 (** A parsed scenario. *)

@@ -192,8 +192,10 @@ let test_invariant_voting_quorum_stale () =
 (* Chaos harness                                                       *)
 (* ------------------------------------------------------------------ *)
 
+let with_family family env = { env with Chaos.families = family :: env.Chaos.families }
+
 let test_schedule_roundtrip () =
-  let env = { (Chaos.default_env Types.Available_copy) with Chaos.partitions = true } in
+  let env = with_family Chaos.Partitions (Chaos.default_env Types.Available_copy) in
   let schedule = Chaos.generate_schedule env in
   Alcotest.(check bool) "nonempty" true (schedule <> []);
   match Chaos.schedule_of_string (Chaos.schedule_to_string schedule) with
@@ -212,7 +214,7 @@ let test_schedule_bad_input () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "nonsense accepted");
   match Chaos.schedule_of_string "# comment\n\n@1.0 fail 2\n@2.0 heal" with
-  | Ok [ (_, Chaos.Fail 2); (_, Chaos.Heal) ] -> ()
+  | Ok [ (_, Chaos.Fault (Chaos.Fail 2)); (_, Chaos.Fault Chaos.Heal) ] -> ()
   | Ok _ | Error _ -> Alcotest.fail "comment/blank handling"
 
 let test_chaos_deterministic () =
@@ -247,7 +249,7 @@ let test_sweep_dynamic () = sweep_clean Types.Dynamic_voting
    envelope.  One-copy consistency must survive all of it — every
    quarantined copy gets healed from a peer before it can be served. *)
 let media_sweep_clean scheme =
-  let env = Chaos.media_env scheme in
+  let env = Chaos.media (Chaos.default_env scheme) in
   let sweep = Chaos.sweep ~shrink_failures:false env ~seeds:(List.init 6 (fun i -> i + 1)) in
   Alcotest.(check (list int))
     (Types.scheme_to_string scheme ^ " media envelope clean")
@@ -266,13 +268,13 @@ let test_media_sweep_nac () = media_sweep_clean Types.Naive_available_copy
 let test_media_sweep_dynamic () = media_sweep_clean Types.Dynamic_voting
 
 let test_media_schedule_roundtrip () =
-  let env = Chaos.media_env Types.Available_copy in
+  let env = Chaos.media (Chaos.default_env Types.Available_copy) in
   let schedule = Chaos.generate_schedule env in
   let has p = List.exists (fun (_, e) -> p e) schedule in
   Alcotest.(check bool) "crash-torn events generated" true
-    (has (function Chaos.Crash_torn _ -> true | _ -> false));
+    (has (function Chaos.Fault (Chaos.Crash_torn _) -> true | _ -> false));
   Alcotest.(check bool) "bitrot events generated" true
-    (has (function Chaos.Bitrot _ -> true | _ -> false));
+    (has (function Chaos.Fault (Chaos.Bitrot _) -> true | _ -> false));
   match Chaos.schedule_of_string (Chaos.schedule_to_string schedule) with
   | Error e -> Alcotest.failf "media roundtrip failed: %s" e
   | Ok parsed ->
@@ -288,7 +290,7 @@ let test_media_schedule_roundtrip () =
    violations, and the run itself fails with a wire-unconserved violation
    if any injected corruption went unaccounted for. *)
 let wire_sweep_clean scheme =
-  let env = Chaos.wire_env scheme in
+  let env = Chaos.wire (Chaos.default_env scheme) in
   let sweep = Chaos.sweep ~shrink_failures:false env ~seeds:(List.init 6 (fun i -> i + 1)) in
   Alcotest.(check (list int))
     (Types.scheme_to_string scheme ^ " wire envelope clean")
@@ -300,7 +302,7 @@ let test_wire_sweep_nac () = wire_sweep_clean Types.Naive_available_copy
 let test_wire_sweep_dynamic () = wire_sweep_clean Types.Dynamic_voting
 
 let test_wire_run_injects_and_conserves () =
-  let env = Chaos.wire_env ~seed:3 Types.Voting in
+  let env = Chaos.wire (Chaos.default_env ~seed:3 Types.Voting) in
   let cluster = Chaos.cluster_of_env env in
   let outcome = Chaos.run_against env ~cluster ~schedule:(Chaos.generate_schedule env) in
   Alcotest.(check bool) "clean" true (Chaos.passed outcome);
@@ -312,15 +314,13 @@ let test_wire_run_injects_and_conserves () =
   Alcotest.(check bool) "conserved" true (Blockrep.Cluster.corruption_conserved cluster)
 
 let test_wire_corrupt_schedule_roundtrip () =
-  let env =
-    { (Chaos.wire_env Types.Voting) with Chaos.wire_corrupt_links = true; wire_corrupt_rate = 0.05 }
-  in
+  let env = with_family Chaos.Corrupt_links (Chaos.wire (Chaos.default_env Types.Voting)) in
   let schedule = Chaos.generate_schedule env in
   let has p = List.exists (fun (_, e) -> p e) schedule in
   Alcotest.(check bool) "wire-corrupt events generated" true
-    (has (function Chaos.Wire_corrupt _ -> true | _ -> false));
+    (has (function Chaos.Fault (Chaos.Wire_corrupt _) -> true | _ -> false));
   Alcotest.(check bool) "paired heals generated" true
-    (has (function Chaos.Wire_heal _ -> true | _ -> false));
+    (has (function Chaos.Fault (Chaos.Wire_heal _) -> true | _ -> false));
   match Chaos.schedule_of_string (Chaos.schedule_to_string schedule) with
   | Error e -> Alcotest.failf "wire roundtrip failed: %s" e
   | Ok parsed ->
@@ -335,7 +335,7 @@ let test_voting_window_caught () =
   (* Outside the envelope: voting under site failures must be caught by
      the oracle, and shrinking must keep the violation while dropping
      most of the schedule. *)
-  let env = { (Chaos.default_env Types.Voting) with Chaos.failures = true } in
+  let env = with_family Chaos.Failures (Chaos.default_env Types.Voting) in
   let sweep = Chaos.sweep env ~seeds:(List.init 40 (fun i -> i + 1)) in
   Alcotest.(check bool) "some seed caught" true (sweep.Chaos.failing <> []);
   match (sweep.Chaos.shrunk, sweep.Chaos.first_failure) with
@@ -352,9 +352,8 @@ let test_voting_window_caught () =
 let test_weakened_quorum_caught () =
   let env =
     {
-      (Chaos.default_env Types.Voting) with
-      Chaos.failures = true;
-      weaken_read = Some 1;
+      (with_family Chaos.Failures (Chaos.default_env Types.Voting)) with
+      Chaos.weaken_read = Some 1;
       weaken_write = Some 2;
     }
   in
@@ -376,6 +375,83 @@ let test_drops_caught_or_survived () =
   let b = Chaos.sweep ~shrink_failures:false env ~seeds:[ 1; 2; 3; 4; 5 ] in
   Alcotest.(check (list int)) "deterministic verdict" a.Chaos.failing b.Chaos.failing;
   Alcotest.(check bool) "drops do break fire-and-forget NAC" true (a.Chaos.failing <> [])
+
+(* ------------------------------------------------------------------ *)
+(* Refactor oracle                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One MD5 per scheme and envelope over seeds 1-25: every schedule's text,
+   then every run's ops, injected faults, storage counters, end time and
+   violation codes.  Recorded when each envelope was still a flat record
+   of switches, rates and sizes; the family table and the composable
+   layers must reproduce all of them seed for seed. *)
+let envelope_digest (env : Chaos.env) =
+  let schedules = Buffer.create 4096 and runs = Buffer.create 4096 in
+  for seed = 1 to 25 do
+    let env : Chaos.env = { env with seed } in
+    let schedule = Chaos.generate_schedule env in
+    Buffer.add_string schedules (Chaos.schedule_to_string schedule);
+    Buffer.add_string schedules "\n--\n";
+    let o = Chaos.run ~schedule env in
+    let s = o.Chaos.storage in
+    let open Blockdev.Durable_store in
+    Printf.bprintf runs "%d %d %d %d|%d %d %d %d %d %d %d %d %d %d %d|%h|%s\n" o.Chaos.seed o.ops_ok
+      o.ops_failed o.faults_injected s.torn_writes s.bitrot_injected s.refused_installs
+      s.repaired_blocks s.scrub_runs s.scrub_replayed s.scrub_discarded s.scrub_quarantined
+      s.scrub_meta_reset s.disk_replacements s.journal_commits o.end_time
+      (String.concat "," (List.map (fun v -> v.Check.Violation.code) (Chaos.violations o)))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents schedules ^ Buffer.contents runs))
+
+let oracle_case name layer pinned =
+  Alcotest.test_case name `Quick (fun () ->
+      List.iter
+        (fun (scheme, expected) ->
+          Alcotest.(check string)
+            (Types.scheme_to_string scheme ^ " seeds 1-25")
+            expected
+            (envelope_digest (layer (Chaos.default_env scheme))))
+        pinned)
+
+let oracle_cases =
+  [
+    oracle_case "base" Fun.id
+      [
+        (Types.Voting, "8262cf2cd3a2c0b72f4ba68873ba8da8");
+        (Types.Available_copy, "9861057c654789fee8f8e73fb3859f84");
+        (Types.Naive_available_copy, "b5b1132e79fc7e43f29c521a96104ee6");
+        (Types.Dynamic_voting, "677969702f37cb738c2c015500693404");
+      ];
+    oracle_case "media" Chaos.media
+      [
+        (Types.Voting, "3d8d92f11c270defa91c860c91b04787");
+        (Types.Available_copy, "fcb2fec9e61be42feb06998ab7da2b27");
+        (Types.Naive_available_copy, "c2b50a67e1309a2448705480fe55cd56");
+        (Types.Dynamic_voting, "5257c0288965ecd06af6c89212a1a3ca");
+      ];
+    oracle_case "overload" Chaos.overload
+      [
+        (Types.Voting, "e2c96772306f5c6b98b91300727fbe8a");
+        (Types.Available_copy, "5080e223dc5fa8814500bc7dd2c1e80b");
+        (Types.Naive_available_copy, "33156ffb6700164f8e37e8a8b9bf6501");
+        (Types.Dynamic_voting, "86fa4594018d28b4cea5169b0b74ef0e");
+      ];
+    oracle_case "wire" Chaos.wire
+      [
+        (Types.Voting, "5b01741ed9a137a5eddb46b53a76e14f");
+        (Types.Available_copy, "2faa82ef04c596364733a0a450c082d4");
+        (Types.Naive_available_copy, "79c4ea389b323275082ceb2b261e4276");
+        (Types.Dynamic_voting, "2ebb4f7a7e8f1b0dd64b3a5a01223f2a");
+      ];
+    oracle_case "wire with corruptor links"
+      (fun env -> with_family Chaos.Corrupt_links (Chaos.wire env))
+      [
+        (Types.Voting, "d833b03596ddde1e6e9b78651f248fd9");
+        (Types.Available_copy, "1df07fef70355d9a47bbbebcee52d135");
+        (Types.Naive_available_copy, "5f3ccf4bf612f6b3e77c677a6f02276c");
+        (Types.Dynamic_voting, "e27c5447a81d2b28adcc4138e43f72a6");
+      ];
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint round trip under chaos                                   *)
@@ -465,5 +541,6 @@ let () =
           Alcotest.test_case "weakened quorum caught" `Slow test_weakened_quorum_caught;
           Alcotest.test_case "drops break NAC" `Quick test_drops_caught_or_survived;
         ] );
+      ("refactor", oracle_cases);
       ("checkpoint", [ QCheck_alcotest.to_alcotest prop_checkpoint_roundtrip ]);
     ]

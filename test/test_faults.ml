@@ -489,52 +489,12 @@ let test_corrupt_bytes () =
   Alcotest.(check int) "flip counted" 1 (Faults.bit_flips g);
   Alcotest.(check int) "delivery counted once" 1 (Faults.corrupted_deliveries g)
 
-let test_config_refuses_corruption_without_encoded () =
-  (match
-     Config.make ~scheme:Types.Voting ~n_sites:3 ~n_blocks:8 ~seed:1
-       ~fault_profile:(Faults.make_exn ~corruption:corruption_only ())
-       ()
-   with
-  | Ok _ -> Alcotest.fail "corruption without encoded delivery accepted"
-  | Error _ -> ());
-  match
-    Config.make ~scheme:Types.Voting ~n_sites:3 ~n_blocks:8 ~seed:1 ~encoded_delivery:true
-      ~fault_profile:(Faults.make_exn ~corruption:corruption_only ())
-      ()
-  with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "corruption with encoded delivery rejected: %s" e
-
-let test_encoded_cluster_bit_identical () =
-  (* Encoded delivery with no corruption must be bit-identical to the
-     default in-heap path: same answers, same virtual time, same traffic. *)
-  let run encoded =
-    let d =
-      Device.of_config
-        (Config.make_exn ~scheme:Types.Voting ~n_sites:3 ~n_blocks:8 ~seed:555
-           ~encoded_delivery:encoded ())
-    in
-    let answers = ref [] in
-    for i = 0 to 11 do
-      let tag = Printf.sprintf "tw%02d" i in
-      assert (Device.write_block d (i mod 8) (Block.of_string tag));
-      answers := Option.map Block.to_string (Device.read_block d (i mod 8)) :: !answers
-    done;
-    let c = Device.cluster d in
-    (!answers, Sim.Engine.now (Cluster.engine c), Net.Traffic.total (Cluster.traffic c))
-  in
-  let answers_a, time_a, traffic_a = run false in
-  let answers_b, time_b, traffic_b = run true in
-  Alcotest.(check bool) "same answers" true (answers_a = answers_b);
-  Alcotest.(check (float 0.0)) "same virtual time" time_a time_b;
-  Alcotest.(check int) "same traffic" traffic_a traffic_b
-
 let test_ambient_corruption_device_recovers () =
   (* Ambient byte damage on every link: the hardened ingress (reject +
      bounded redelivery) must keep every operation succeeding, and the
      conservation identities must hold. *)
   let config =
-    Config.make_exn ~scheme:Types.Voting ~n_sites:3 ~n_blocks:8 ~seed:777 ~encoded_delivery:true
+    Config.make_exn ~scheme:Types.Voting ~n_sites:3 ~n_blocks:8 ~seed:777
       ~fault_profile:
         (Faults.make_exn
            ~corruption:
@@ -571,7 +531,7 @@ let test_breaker_trips_on_corruptor () =
      the receiving site's circuit breaker through the reject hook and trip
      it — frame damage shows up as peer failure, not silent retries. *)
   let config =
-    Config.make_exn ~scheme:Types.Voting ~n_sites:3 ~n_blocks:8 ~seed:888 ~encoded_delivery:true
+    Config.make_exn ~scheme:Types.Voting ~n_sites:3 ~n_blocks:8 ~seed:888
       ~robustness:
         {
           Blockrep.Robustness.off with
@@ -653,10 +613,6 @@ let () =
           Alcotest.test_case "corruption validation / is_pristine" `Quick
             test_corruption_validation;
           Alcotest.test_case "corrupt bytes" `Quick test_corrupt_bytes;
-          Alcotest.test_case "config refuses corruption without encoded" `Quick
-            test_config_refuses_corruption_without_encoded;
-          Alcotest.test_case "encoded cluster bit-identical" `Quick
-            test_encoded_cluster_bit_identical;
           Alcotest.test_case "ambient corruption recovers" `Quick
             test_ambient_corruption_device_recovers;
           Alcotest.test_case "breaker trips on corruptor" `Quick test_breaker_trips_on_corruptor;

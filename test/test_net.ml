@@ -228,13 +228,11 @@ let test_delivered_counter () =
 (* Encoded delivery                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* One run of a fixed message program, returning everything observable. *)
-let run_program ~encoded ?faults () =
+(* One run of a fixed message program, returning everything observable.
+   The program sends on links 0->1, 1->2, 2->0 and 2->1 only. *)
+let run_program ?injector () =
   let engine, net = make ~n_sites:3 () in
-  (match faults with
-  | Some profile -> N.install_faults net (Net.Faults.of_seed ~seed:42 profile)
-  | None -> ());
-  if encoded then N.set_encoded net true;
+  Option.iter (N.install_faults net) injector;
   let logs = Array.init 3 (fun _ -> ref []) in
   for i = 0 to 2 do
     collect_at net i logs.(i)
@@ -245,15 +243,20 @@ let run_program ~encoded ?faults () =
   Sim.Engine.run engine;
   (net, logs, Sim.Engine.now engine)
 
-let test_encoded_default_off () =
-  let _, net = make () in
-  Alcotest.(check bool) "encoded delivery is opt-in" false (N.encoded net)
-
 let test_encoded_twin_run_identical () =
-  (* Encoded delivery with no corruption must be bit-identical to the
-     in-heap path: same deliveries, same virtual time, same traffic. *)
-  let net_a, logs_a, end_a = run_program ~encoded:false () in
-  let net_b, logs_b, end_b = run_program ~encoded:true () in
+  (* The delivery path is picked by the injector, not by a switch: once
+     any link has been given corruption the network encodes everything.
+     An override on the unused link 1->0, healed again before the run,
+     leaves a corrupting injector whose every used link is pristine —
+     encoded delivery must then be bit-identical to the in-heap path:
+     same deliveries, same virtual time, same traffic. *)
+  let sticky = Net.Faults.of_seed ~seed:42 Net.Faults.pristine in
+  Net.Faults.set_link sticky ~from:1 ~dst:0 Net.Faults.persistent_corruptor;
+  Net.Faults.set_link sticky ~from:1 ~dst:0 Net.Faults.pristine;
+  Alcotest.(check bool) "the heal leaves the injector corrupting" true
+    (Net.Faults.corrupting sticky);
+  let net_a, logs_a, end_a = run_program () in
+  let net_b, logs_b, end_b = run_program ~injector:sticky () in
   Alcotest.(check (float 0.0)) "same end time" end_a end_b;
   Alcotest.(check int) "same traffic total" (Net.Traffic.total (N.traffic net_a))
     (Net.Traffic.total (N.traffic net_b));
@@ -265,14 +268,15 @@ let test_encoded_twin_run_identical () =
       (!(logs_a.(i)) = !(logs_b.(i)))
   done;
   Alcotest.(check int) "no rejects" 0 (Net.Traffic.frames_rejected (N.traffic net_b));
-  Alcotest.(check int) "no retransmissions" 0 (N.frames_retransmitted net_b)
+  Alcotest.(check int) "no retransmissions" 0 (N.frames_retransmitted net_b);
+  Alcotest.(check int) "nothing injected" 0 (Net.Faults.total_injected sticky)
 
 let test_encoded_ambient_corruption_recovers () =
   (* Ambient bit flips on every link: the bounded link-layer redelivery
      must still get every message through, and every corruption draw must
      be classified (the conservation identity). *)
   let profile = Net.Faults.make_exn ~corruption:{ Net.Faults.no_corruption with bit_flip = 0.4 } () in
-  let net, logs, _ = run_program ~encoded:true ~faults:profile () in
+  let net, logs, _ = run_program ~injector:(Net.Faults.of_seed ~seed:42 profile) () in
   (* Disable quarantine interference for this test by checking it did not
      trip (threshold 3 consecutive failures at p=0.4 is unlikely but
      possible; the seed is fixed, so this is deterministic either way). *)
@@ -293,7 +297,6 @@ let test_persistent_corruptor_quarantined () =
   let f = Net.Faults.of_seed ~seed:7 Net.Faults.pristine in
   Net.Faults.set_link f ~from:0 ~dst:1 Net.Faults.persistent_corruptor;
   N.install_faults net f;
-  N.set_encoded net true;
   let log = ref [] in
   collect_at net 1 log;
   N.send net ~op:Net.Message.Read ~from:0 ~dst:1 (Payload.Ping 1);
@@ -317,7 +320,6 @@ let test_reject_hook_sees_failures () =
   let f = Net.Faults.of_seed ~seed:7 Net.Faults.pristine in
   Net.Faults.set_link f ~from:0 ~dst:1 Net.Faults.persistent_corruptor;
   N.install_faults net f;
-  N.set_encoded net true;
   N.register net ~id:1 (fun ~from:_ _ -> ());
   let hook_calls = ref [] in
   N.set_reject_hook net (fun ~dst ~from reject -> hook_calls := (dst, from, reject) :: !hook_calls);
@@ -360,7 +362,6 @@ let () =
         ] );
       ( "encoded",
         [
-          Alcotest.test_case "off by default" `Quick test_encoded_default_off;
           Alcotest.test_case "twin run identical" `Quick test_encoded_twin_run_identical;
           Alcotest.test_case "ambient corruption recovers" `Quick
             test_encoded_ambient_corruption_recovers;

@@ -117,7 +117,7 @@ let test_decorrelated_requires_rng () =
    sent, so a violation here means a sub-request would have been issued
    for an operation that already missed its budget. *)
 let test_no_round_opens_past_deadline () =
-  let env = Chaos.overload_env ~seed:23 Types.Available_copy in
+  let env = Chaos.overload (Chaos.default_env ~seed:23 Types.Available_copy) in
   let cluster = Chaos.cluster_of_env env in
   let engine = Cluster.engine cluster in
   let deadline_rounds = ref 0 and late_opens = ref 0 in
@@ -296,15 +296,15 @@ let test_current_outage () =
 (* ------------------------------------------------------------------ *)
 
 let test_overload_schedule_roundtrip () =
-  let env = Chaos.overload_env ~seed:9 Types.Dynamic_voting in
+  let env = Chaos.overload (Chaos.default_env ~seed:9 Types.Dynamic_voting) in
   let schedule = Chaos.generate_schedule env in
   let has p = List.exists (fun (_, e) -> p e) schedule in
   Alcotest.(check bool) "schedules slow sites" true
-    (has (function Chaos.Slow_site _ -> true | _ -> false));
+    (has (function Chaos.Fault (Chaos.Slow_site _) -> true | _ -> false));
   Alcotest.(check bool) "schedules bursts" true
     (has (function Chaos.Burst _ -> true | _ -> false));
   Alcotest.(check bool) "schedules queue floods" true
-    (has (function Chaos.Queue_flood _ -> true | _ -> false));
+    (has (function Chaos.Fault (Chaos.Queue_flood _) -> true | _ -> false));
   match Chaos.schedule_of_string (Chaos.schedule_to_string schedule) with
   | Error e -> Alcotest.fail ("overload schedule does not round-trip: " ^ e)
   | Ok parsed ->
@@ -316,7 +316,7 @@ let test_overload_schedule_roundtrip () =
 let test_overload_chaos_passes () =
   List.iter
     (fun scheme ->
-      let outcome = Chaos.run (Chaos.overload_env ~seed:31 scheme) in
+      let outcome = Chaos.run (Chaos.overload (Chaos.default_env ~seed:31 scheme)) in
       Alcotest.(check bool)
         (Types.scheme_to_string scheme ^ " overload envelope is violation-free")
         true (Chaos.passed outcome))
