@@ -19,14 +19,23 @@ let site_availability ~rho = 1.0 /. (1.0 +. rho)
    C(n,k) rho^(n-k) / (1+rho)^n. *)
 let p_up ~n ~rho k = binomial n k *. (rho ** float_of_int (n - k)) /. ((1.0 +. rho) ** float_of_int n)
 
+(* Sum both tails, the tie term split half and half, and answer from the
+   smaller one: its rounding error is tiny next to its own size, so the
+   result stays inside [0,1] where a large sum of rounded terms could
+   land just above 1. *)
 let availability ~n ~rho =
   check ~n ~rho "availability";
-  let acc = ref 0.0 in
+  let majority = ref 0.0 and minority = ref 0.0 in
   for k = 0 to n do
-    if 2 * k > n then acc := !acc +. p_up ~n ~rho k
-    else if 2 * k = n then acc := !acc +. (0.5 *. p_up ~n ~rho k)
+    let p = p_up ~n ~rho k in
+    if 2 * k > n then majority := !majority +. p
+    else if 2 * k < n then minority := !minority +. p
+    else begin
+      majority := !majority +. (0.5 *. p);
+      minority := !minority +. (0.5 *. p)
+    end
   done;
-  !acc
+  if !majority <= !minority then !majority else 1.0 -. !minority
 
 let availability_upper_bound ~n ~rho =
   check ~n ~rho "availability_upper_bound";

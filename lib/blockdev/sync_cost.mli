@@ -9,7 +9,7 @@
     append+flush, SATA SSDs low single-digit ms, NVMe with protected
     write buffers tens of µs.
 
-    The model is simulation-clock based ([Util.Clock]-independent): the
+    The model reads only the simulation clock, never the host's: the
     cluster charges {!fsync_latency} simulated time units (1 unit =
     1 ms, the latency tables' unit) at each client-visible journal
     commit point.  [Config.sync_profile = None] (the default) charges

@@ -212,7 +212,7 @@ let print_amortization ppf ~title rows =
             | Blockrep.Types.Naive_available_copy -> "NAC"
             | Blockrep.Types.Dynamic_voting -> "DV"
           in
-          Format.fprintf ppf " %11s %11s %12s" (tag ^ ".msg/blk") (tag ^ ".KB/blk") (tag ^ ".us/blk"))
+          Format.fprintf ppf " %11s %11s" (tag ^ ".msg/blk") (tag ^ ".KB/blk"))
         first.per_scheme;
       Format.fprintf ppf "@,";
       List.iter
@@ -220,10 +220,8 @@ let print_amortization ppf ~title rows =
           Format.fprintf ppf "%5d" row.batch;
           List.iter
             (fun (_, s) ->
-              Format.fprintf ppf " %11.3f %11.3f %12.2f"
-                s.Workload.Experiment.messages_per_block
-                (s.Workload.Experiment.bytes_per_block /. 1024.0)
-                (s.Workload.Experiment.wall_clock_per_block *. 1e6))
+              Format.fprintf ppf " %11.3f %11.3f" s.Workload.Experiment.messages_per_block
+                (s.Workload.Experiment.bytes_per_block /. 1024.0))
             row.per_scheme;
           Format.fprintf ppf "@,")
         rows);

@@ -96,7 +96,6 @@ type amortization_sample = {
   write_bytes : int;
   messages_per_block : float;
   bytes_per_block : float;
-  wall_clock_per_block : float;
 }
 
 (* Group-commit amortization: push [groups] batches of [batch] distinct
@@ -112,7 +111,6 @@ let measure_batch_amortization ~scheme ~n_sites ~env ~batch ?(groups = 100) ?(se
   let traffic = Blockrep.Cluster.traffic (Blockrep.Reliable_device.cluster device) in
   let msgs0 = Net.Traffic.by_operation traffic Net.Message.Write in
   let bytes0 = Net.Traffic.bytes_by_operation traffic Net.Message.Write in
-  let t0 = Util.Clock.now () in
   for g = 0 to groups - 1 do
     let base = g * batch mod n_blocks in
     let writes =
@@ -121,7 +119,6 @@ let measure_batch_amortization ~scheme ~n_sites ~env ~batch ?(groups = 100) ?(se
     in
     ignore (Blockrep.Driver_stub.write_blocks stub writes : Blockrep.Types.batch_write_result)
   done;
-  let elapsed = Util.Clock.elapsed_s t0 in
   let blocks = groups * batch in
   let write_messages = Net.Traffic.by_operation traffic Net.Message.Write - msgs0 in
   let write_bytes = Net.Traffic.bytes_by_operation traffic Net.Message.Write - bytes0 in
@@ -136,7 +133,6 @@ let measure_batch_amortization ~scheme ~n_sites ~env ~batch ?(groups = 100) ?(se
     write_bytes;
     messages_per_block = float_of_int write_messages /. float_of_int blocks;
     bytes_per_block = float_of_int write_bytes /. float_of_int blocks;
-    wall_clock_per_block = elapsed /. float_of_int blocks;
   }
 
 type repair_sample = {
@@ -240,7 +236,6 @@ type campaign_sample = {
   traffic : Net.Traffic.t;
   total_messages : int;
   total_bytes : int;
-  wall_clock : float;
 }
 
 (* Latency histograms share one geometry so per-group histograms merge;
@@ -291,13 +286,11 @@ let measure_campaign ~scheme ~n_sites ~n_blocks ~shards ?(groups = 16) ?(ops_per
      capture an immutable list, never the mutable array. *)
   let group_sizes = Array.to_list sizes in
   let plan = Sim.Shard_engine.plan_lanes ~shards ~tasks:groups in
-  let t0 = Util.Clock.now () in
   let per_group =
     Sim.Shard_engine.map_tasks ~shards ~tasks:groups (fun g ->
         campaign_group ~scheme ~n_sites ~reads_per_write ~seed ~ops:ops_per_group g
           (List.nth group_sizes g))
   in
-  let wall_clock = Util.Clock.elapsed_s t0 in
   (* Deterministic merge, in group-id order (map_tasks already returns
      task order regardless of lane assignment). *)
   let traffic = Net.Traffic.create () in
@@ -343,7 +336,6 @@ let measure_campaign ~scheme ~n_sites ~n_blocks ~shards ?(groups = 16) ?(ops_per
     traffic;
     total_messages = Net.Traffic.total traffic;
     total_bytes = Net.Traffic.total_bytes traffic;
-    wall_clock;
   }
 
 type degradation_sample = {

@@ -80,7 +80,6 @@ type amortization_sample = {
   write_bytes : int;
   messages_per_block : float;
   bytes_per_block : float;
-  wall_clock_per_block : float;  (** host CPU seconds per committed block *)
 }
 
 val measure_batch_amortization :
@@ -94,8 +93,8 @@ val measure_batch_amortization :
   amortization_sample
 (** Failure-free group-commit run: [groups] batches (default 100) of
     [batch] distinct blocks each, written through the driver stub's
-    batched path, measuring Write transmissions, payload bytes and host
-    time per committed block.  [batch = 1] takes the unbatched
+    batched path, measuring Write transmissions and payload bytes per
+    committed block.  [batch = 1] takes the unbatched
     single-block path and is the baseline the larger batches amortize
     against; under voting in multicast a k-block batch costs one vote
     round and one update multicast in total, so messages per block fall
@@ -151,7 +150,6 @@ type campaign_sample = {
   traffic : Net.Traffic.t;  (** cell-wise sum of every group's table *)
   total_messages : int;
   total_bytes : int;
-  wall_clock : float;  (** host seconds for the sharded fold *)
 }
 
 val measure_campaign :
@@ -172,7 +170,7 @@ val measure_campaign :
     [seed] and its group id.  [shards] sets only how many parallel lanes
     execute the groups — the partition, the per-group seeds and the
     group-id-order merge are all independent of it, so every field except
-    [shards]/[lanes_used]/[parallel]/[wall_clock] is bit-identical across
+    [shards]/[lanes_used]/[parallel] is bit-identical across
     shard counts (and across the OCaml 4.14 sequential fallback). *)
 
 type degradation_sample = {

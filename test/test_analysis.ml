@@ -258,6 +258,17 @@ let test_traffic_rejects_small_n () =
     (fun () ->
       ignore (Analysis.Traffic_model.write_cost Analysis.Traffic_model.Multicast Analysis.Traffic_model.Voting ~n:1 ~rho:0.1))
 
+(* A seed of the property below once drew rho = 0x1.0f72606bfe8p-12, where
+   summing the rounded majority terms at n = 12, shrunk to n = 9, landed
+   just above 1. *)
+let test_voting_unit_interval_regression () =
+  let rho = 0x1.0f72606bfe8p-12 in
+  List.iter
+    (fun n ->
+      let a = Analysis.Voting_model.availability ~n ~rho in
+      Alcotest.(check bool) (Printf.sprintf "A_V(%d) = %.17g in [0,1]" n a) true (a >= 0.0 && a <= 1.0))
+    [ 9; 12 ]
+
 let prop_voting_availability_in_unit_interval =
   QCheck.Test.make ~name:"A_V within [0,1]" ~count:300
     QCheck.(pair (int_range 1 12) (float_range 0.0 5.0))
@@ -286,6 +297,7 @@ let () =
           Alcotest.test_case "upper bound" `Quick test_voting_upper_bound;
           Alcotest.test_case "upper bound odd-only" `Quick test_voting_upper_bound_rejects_even;
           Alcotest.test_case "participation limits" `Quick test_participation_limits;
+          Alcotest.test_case "within [0,1] near rho = 0" `Quick test_voting_unit_interval_regression;
           QCheck_alcotest.to_alcotest prop_voting_availability_in_unit_interval;
         ] );
       ( "ac-model",

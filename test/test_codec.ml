@@ -136,6 +136,25 @@ let test_tags_distinct_and_stable () =
   Alcotest.(check bool) "0 is not a tag" true (Wire.Tag.of_int 0 = None);
   Alcotest.(check bool) "18 is not a tag" true (Wire.Tag.of_int 18 = None)
 
+(* The point of batching on the wire: one frame carrying 16 blocks must be
+   strictly smaller than 16 single-block frames, the same messages the
+   paper harness's codec table prints (8,239 B against 16 x 528 B). *)
+let test_batch_frame_beats_singles () =
+  let block c = Block.of_string (String.make 8 c) in
+  let single =
+    Bytes.length
+      (Wire.encode
+         (Wire.Block_update
+            { rid = Some 1; block = 0; version = 1; data = block 's'; carried_w = set [ 0; 1 ] }))
+  in
+  let writes = List.init 16 (fun i -> (i, i + 1, block (Char.chr (Char.code 'a' + i)))) in
+  let batch16 =
+    Bytes.length (Wire.encode (Wire.Batch_update { rid = Some 1; writes; carried_w = set [ 0; 1 ] }))
+  in
+  if not (batch16 < 16 * single) then
+    Alcotest.failf "batch-16 frame (%d B) is not smaller than 16 single frames (%d B)" batch16
+      (16 * single)
+
 (* --- corruption envelope: typed errors, never exceptions --- *)
 
 let expect_error name buf pred =
@@ -414,6 +433,7 @@ let () =
           Alcotest.test_case "every constructor" `Quick test_roundtrip_every_constructor;
           Alcotest.test_case "size = encoded length" `Quick test_size_is_encoded_length;
           Alcotest.test_case "tags distinct and stable" `Quick test_tags_distinct_and_stable;
+          Alcotest.test_case "batch-16 frame below 16 singles" `Quick test_batch_frame_beats_singles;
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_size_measured;
         ] );
