@@ -21,22 +21,20 @@ module type S = sig
   (** [false] when the write could not be performed. *)
 end
 
-(** A device that can also serve a group of blocks in one request.
+(** A device that can also commit a group of block writes in one request.
 
     The replicated device implements this natively (a whole batch rides
     one quorum round — the group-commit fast path); {!Batched_of_simple}
     lifts any plain [S] by looping, so clients of [BATCHED] run on
-    either. *)
+    either.  Reads stay per block: group commit amortizes writes only. *)
 module type BATCHED = sig
   include S
 
-  val read_blocks : t -> Block.id list -> Block.t list option
-  (** Blocks must be distinct and non-empty; [None] if any id is out of
-      range or the group could not be served. *)
-
   val write_blocks : t -> (Block.id * Block.t) list -> bool
-  (** [false] when the group could not be fully committed.  Not
-      necessarily atomic: a loop-lifted device (see
+  (** Block ids must be distinct: a batch is a set of blocks, and the
+      replicated device answers [false] to a repeated id without
+      committing anything.  [false] when the group could not be fully
+      committed.  Not necessarily atomic: a loop-lifted device (see
       {!Batched_of_simple}) may have applied a prefix. *)
 end
 
@@ -45,14 +43,6 @@ end
     lets batch-aware clients (the write-back cache) run over any [S]. *)
 module Batched_of_simple (Dev : S) : BATCHED with type t = Dev.t = struct
   include Dev
-
-  let read_blocks t ks =
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | k :: rest -> (
-          match Dev.read_block t k with Some d -> go (d :: acc) rest | None -> None)
-    in
-    if ks = [] then None else go [] ks
 
   let write_blocks t writes = writes <> [] && List.for_all (fun (k, d) -> Dev.write_block t k d) writes
 end

@@ -1,4 +1,4 @@
-type kind = Read | Write
+type kind = Blockrep.Driver_stub.kind = Read | Write
 
 type entry = {
   id : int;
@@ -23,22 +23,11 @@ let record t ~kind ~block ~site ~invoked ~responded ?payload ?version ?error () 
   t.rev_entries <- entry :: t.rev_entries;
   t.n <- t.n + 1
 
-let of_observe_kind = function
-  | Blockrep.Cluster.Observe.Read -> Read
-  | Blockrep.Cluster.Observe.Write -> Write
-
 let attach_stub t stub =
   Blockrep.Driver_stub.add_observer stub (fun (v : Blockrep.Driver_stub.op_view) ->
-      record t ~kind:(of_observe_kind v.kind) ~block:v.block ~site:v.site ~invoked:v.invoked
+      record t ~kind:v.kind ~block:v.block ~site:v.site ~invoked:v.invoked
         ~responded:v.responded ?payload:v.payload ?version:v.version
         ?error:(Option.map Blockrep.Types.failure_reason_to_string v.error)
-        ())
-
-let attach_cluster t cluster =
-  Blockrep.Cluster.add_observer cluster (fun (e : Blockrep.Cluster.Observe.event) ->
-      record t ~kind:(of_observe_kind e.kind) ~block:e.block ~site:e.site ~invoked:e.invoked
-        ~responded:e.responded ?payload:e.payload ?version:e.version
-        ?error:(Option.map Blockrep.Types.failure_reason_to_string e.error)
         ())
 
 let length t = t.n

@@ -2,17 +2,15 @@
 
     The raw material of consistency checking: a sequence of operation
     records — kind, block, serving site, virtual invocation/response
-    times, payload, and outcome — appended either through the
-    instrumentation hooks ({!attach_stub}, {!attach_cluster}) or manually
-    ({!record}, for synthetic histories in oracle tests).
+    times, payload, and outcome — appended either through the stub's
+    observer hook ({!attach_stub}) or manually ({!record}, for synthetic
+    histories in oracle tests).
 
-    {!attach_stub} is the one the oracle wants: the stub reports one event
-    per {e logical} request, after failover and retry resolution, which is
-    exactly the client-visible history one-copy serializability speaks
-    about.  {!attach_cluster} records every per-site attempt instead —
-    useful for debugging a failing schedule, too fine-grained to judge. *)
+    The stub reports one event per {e logical} request, after failover and
+    retry resolution, which is exactly the client-visible history
+    one-copy serializability speaks about. *)
 
-type kind = Read | Write
+type kind = Blockrep.Driver_stub.kind = Read | Write
 
 type entry = {
   id : int;  (** position in the history, 0-based *)
@@ -50,9 +48,6 @@ val record :
 
 val attach_stub : t -> Blockrep.Driver_stub.t -> unit
 (** Record every logical request completed through the stub from now on. *)
-
-val attach_cluster : t -> Blockrep.Cluster.t -> unit
-(** Record every per-site operation completion from now on. *)
 
 val length : t -> int
 

@@ -2,26 +2,10 @@ module Durable = Blockdev.Durable_store
 
 type protocol = Voting_p of Voting.t | Copy_p of Copy_protocol.t | Dynamic_p of Dynamic_voting.t
 
-module Observe = struct
-  type kind = Read | Write
-
-  type event = {
-    kind : kind;
-    site : int;
-    block : int;
-    invoked : float;
-    responded : float;
-    payload : Blockdev.Block.t option;
-    version : int option;
-    error : Types.failure_reason option;
-  }
-end
-
 type t = {
   rt : Runtime.t;
   protocol : protocol;
   monitor : Availability_monitor.t;
-  mutable observers : (Observe.event -> unit) list;
   (* Robustness bookkeeping; all zero / None when the features are off. *)
   mutable client_shed : int;
   mutable hedged : int;
@@ -56,9 +40,7 @@ let create (config : Config.t) =
            population a useful hedge delay comes from. *)
         Some (Util.Stats.Histogram.create ~lo:0.0 ~hi:config.op_timeout ~bins:64)
   in
-  let t =
-    { rt; protocol; monitor; observers = []; client_shed = 0; hedged = 0; hedge_wins = 0; read_lat }
-  in
+  let t = { rt; protocol; monitor; client_shed = 0; hedged = 0; hedge_wins = 0; read_lat } in
   let engine = Runtime.engine rt in
   Runtime.on_state_change rt (fun _ _ ->
       Availability_monitor.record monitor (system_available_rt protocol);
@@ -85,58 +67,14 @@ let n_blocks t = (config t).n_blocks
 let check_block t block =
   if block < 0 || block >= n_blocks t then invalid_arg "Cluster: block index out of range"
 
-let add_observer t f = t.observers <- t.observers @ [ f ]
-
-(* Wrap an operation callback so observers see a completion event.  When no
-   observer is attached at invocation the callback passes through untouched
-   — the legacy path pays nothing. *)
-let observed_read t ~site ~block callback =
-  match t.observers with
-  | [] -> callback
-  | _ ->
-      let invoked = Sim.Engine.now (engine t) in
-      fun result ->
-        let responded = Sim.Engine.now (engine t) in
-        let event =
-          match result with
-          | Ok (data, version) ->
-              { Observe.kind = Observe.Read; site; block; invoked; responded;
-                payload = Some data; version = Some version; error = None }
-          | Error e ->
-              { Observe.kind = Observe.Read; site; block; invoked; responded; payload = None;
-                version = None; error = Some e }
-        in
-        List.iter (fun f -> f event) t.observers;
-        callback result
-
-let observed_write t ~site ~block ~data callback =
-  match t.observers with
-  | [] -> callback
-  | _ ->
-      let invoked = Sim.Engine.now (engine t) in
-      fun result ->
-        let responded = Sim.Engine.now (engine t) in
-        let event =
-          match result with
-          | Ok version ->
-              { Observe.kind = Observe.Write; site; block; invoked; responded;
-                payload = Some data; version = Some version; error = None }
-          | Error e ->
-              { Observe.kind = Observe.Write; site; block; invoked; responded;
-                payload = Some data; version = None; error = Some e }
-        in
-        List.iter (fun f -> f event) t.observers;
-        callback result
-
 (* Stable-storage sync cost: a successful client-visible write means the
    coordinator's journal commit (its fsync) retired, so the completion is
-   delayed by the configured profile's fsync latency before the caller —
-   and the observers, which wrap outside this — see it.  One charge per
-   client operation: a batch group-commits through one intention record,
-   which is exactly the amortization the batch path exists for.  Replica
-   fsyncs overlap the network ack path and are not separately charged
-   (documented in DESIGN.md §4i).  [None] schedules nothing — the exact
-   legacy completion path. *)
+   delayed by the configured profile's fsync latency before the caller
+   sees it.  One charge per client operation: a batch group-commits
+   through one intention record, which is exactly the amortization the
+   batch path exists for.  Replica fsyncs overlap the network ack path
+   and are not separately charged (documented in DESIGN.md §4i).  [None]
+   schedules nothing — the exact legacy completion path. *)
 let with_sync_cost t callback =
   match (Runtime.config t.rt).Config.sync_profile with
   | None -> callback
@@ -151,69 +89,10 @@ let with_sync_cost t callback =
                 : Sim.Engine.handle)
         | Error _ -> callback result)
 
-(* Batch observers report one event per block of the group, so a history
-   checker sees the same shape of events whichever path produced them. *)
-let observed_read_blocks t ~site ~blocks callback =
-  match t.observers with
-  | [] -> callback
-  | _ ->
-      let invoked = Sim.Engine.now (engine t) in
-      fun result ->
-        let responded = Sim.Engine.now (engine t) in
-        (match result with
-        | Ok results ->
-            List.iter2
-              (fun block (data, version) ->
-                let event =
-                  { Observe.kind = Observe.Read; site; block; invoked; responded;
-                    payload = Some data; version = Some version; error = None }
-                in
-                List.iter (fun f -> f event) t.observers)
-              blocks results
-        | Error e ->
-            List.iter
-              (fun block ->
-                let event =
-                  { Observe.kind = Observe.Read; site; block; invoked; responded; payload = None;
-                    version = None; error = Some e }
-                in
-                List.iter (fun f -> f event) t.observers)
-              blocks);
-        callback result
-
-let observed_write_blocks t ~site ~writes callback =
-  match t.observers with
-  | [] -> callback
-  | _ ->
-      let invoked = Sim.Engine.now (engine t) in
-      fun result ->
-        let responded = Sim.Engine.now (engine t) in
-        (match result with
-        | Ok versions ->
-            List.iter2
-              (fun (block, data) version ->
-                let event =
-                  { Observe.kind = Observe.Write; site; block; invoked; responded;
-                    payload = Some data; version = Some version; error = None }
-                in
-                List.iter (fun f -> f event) t.observers)
-              writes versions
-        | Error e ->
-            List.iter
-              (fun (block, data) ->
-                let event =
-                  { Observe.kind = Observe.Write; site; block; invoked; responded;
-                    payload = Some data; version = None; error = Some e }
-                in
-                List.iter (fun f -> f event) t.observers)
-              writes);
-        callback result
-
-let check_batch t blocks =
-  if blocks = [] then invalid_arg "Cluster: empty batch";
-  List.iter (check_block t) blocks;
-  if List.length (List.sort_uniq Int.compare blocks) <> List.length blocks then
-    invalid_arg "Cluster: batch blocks must be distinct"
+let valid_batch t blocks =
+  blocks <> []
+  && List.for_all (fun b -> b >= 0 && b < n_blocks t) blocks
+  && List.length (List.sort_uniq Int.compare blocks) = List.length blocks
 
 (* Admission at the cluster boundary: with a service model installed,
    every client operation enters its coordinator site's bounded work queue
@@ -231,7 +110,7 @@ let enter t ~site ~fail thunk =
       fail Types.Overloaded
 
 (* Feed the hedge-delay histogram with every completed read's latency
-   (queueing included — the observer clock starts at submission). *)
+   (queueing included — the clock starts at submission). *)
 let with_read_latency t callback =
   match t.read_lat with
   | None -> callback
@@ -272,7 +151,6 @@ let protocol_read t ?deadline ~site ~block callback =
 
 let read t ?deadline ~site ~block callback =
   check_block t block;
-  let callback = observed_read t ~site ~block callback in
   let callback = with_read_latency t callback in
   match (config t).robustness.Robustness.hedge with
   | None -> enter t ~site ~fail:(fun e -> callback (Error e)) (fun () ->
@@ -353,10 +231,7 @@ let read t ?deadline ~site ~block callback =
 
 let write t ?deadline ~site ~block data callback =
   check_block t block;
-  (* [with_sync_cost] outermost: the protocol's completion first pays the
-     journal fsync, then the observers timestamp the (post-fsync) response
-     the client actually experiences. *)
-  let callback = with_sync_cost t (observed_write t ~site ~block ~data callback) in
+  let callback = with_sync_cost t callback in
   enter t ~site ~fail:(fun e -> callback (Error e)) (fun () ->
       match t.protocol with
       | Voting_p v -> Voting.write v ?deadline ~site ~block data callback
@@ -364,37 +239,18 @@ let write t ?deadline ~site ~block data callback =
       | Dynamic_p d -> Dynamic_voting.write d ?deadline ~site ~block data callback)
 
 (* A batch of one takes the single-block path exactly — same wire
-   messages, same observer events — so defaults are bit-identical to the
-   unbatched cluster.  Dynamic voting keeps per-block update groups that
-   a shared vote round cannot carry, so it falls back to chaining the
-   single-block operations (no amortization, full correctness). *)
-let read_blocks t ?deadline ~site ~blocks callback =
-  check_batch t blocks;
-  match blocks with
-  | [ block ] -> read t ?deadline ~site ~block (fun r -> callback (Result.map (fun x -> [ x ]) r))
-  | _ ->
-      let callback = observed_read_blocks t ~site ~blocks callback in
-      enter t ~site ~fail:(fun e -> callback (Error e)) (fun () ->
-          match t.protocol with
-          | Voting_p v -> Voting.read_batch v ?deadline ~site ~blocks callback
-          | Copy_p c -> Copy_protocol.read_batch c ?deadline ~site ~blocks callback
-          | Dynamic_p d ->
-              let rec chain acc = function
-                | [] -> callback (Ok (List.rev acc))
-                | b :: rest ->
-                    Dynamic_voting.read d ?deadline ~site ~block:b (function
-                      | Ok r -> chain (r :: acc) rest
-                      | Error e -> callback (Error e))
-              in
-              chain [] blocks)
-
+   messages, same result — so defaults are bit-identical to the unbatched
+   cluster.  Dynamic voting keeps per-block update groups
+   that a shared vote round cannot carry, so it falls back to chaining the
+   single-block writes (no amortization, full correctness). *)
 let write_blocks t ?deadline ~site writes callback =
-  check_batch t (List.map fst writes);
+  if not (valid_batch t (List.map fst writes)) then
+    invalid_arg "Cluster: batch blocks must be non-empty, in range and distinct";
   match writes with
   | [ (block, data) ] ->
       write t ?deadline ~site ~block data (fun r -> callback (Result.map (fun v -> [ v ]) r))
   | _ ->
-      let callback = with_sync_cost t (observed_write_blocks t ~site ~writes callback) in
+      let callback = with_sync_cost t callback in
       enter t ~site ~fail:(fun e -> callback (Error e)) (fun () ->
           match t.protocol with
           | Voting_p v -> Voting.write_batch v ?deadline ~site writes callback
@@ -433,24 +289,8 @@ let read_sync ?deadline t ~site ~block = run_sync t (fun k -> read t ?deadline ~
 let write_sync ?deadline t ~site ~block data =
   run_sync t (fun k -> write t ?deadline ~site ~block data k)
 
-let read_blocks_sync ?deadline t ~site ~blocks =
-  run_sync t (fun k -> read_blocks t ?deadline ~site ~blocks k)
-
 let write_blocks_sync ?deadline t ~site writes =
   run_sync t (fun k -> write_blocks t ?deadline ~site writes k)
-
-(* Retry-aware synchronous operations: quorum and copy operations survive
-   transient message loss instead of failing on the first lossy round.
-   The deadline spans the whole retried operation — once it passes, the
-   per-attempt entry guards fail fast and the policy's own deadline check
-   stops the loop. *)
-let read_sync_retry ?deadline ?rng t ~policy ~stats ~site ~block =
-  Retry.run policy ~engine:(engine t) ~stats ?rng (fun ~attempt:_ ->
-      read_sync ?deadline t ~site ~block)
-
-let write_sync_retry ?deadline ?rng t ~policy ~stats ~site ~block data =
-  Retry.run policy ~engine:(engine t) ~stats ?rng (fun ~attempt:_ ->
-      write_sync ?deadline t ~site ~block data)
 
 let faults t = Runtime.Transport.faults (Runtime.net t.rt)
 

@@ -26,34 +26,6 @@ val scheme : t -> Types.scheme
 val n_sites : t -> int
 val n_blocks : t -> int
 
-(** {1 Operation observers}
-
-    Lightweight instrumentation for the checking subsystem: every
-    completed operation (successful or not) is reported to subscribed
-    observers with its virtual invocation/response times, payload and
-    version.  With no observer subscribed the operation path is untouched. *)
-
-module Observe : sig
-  type kind = Read | Write
-
-  type event = {
-    kind : kind;
-    site : int;  (** the site the operation was issued at *)
-    block : int;
-    invoked : float;  (** virtual time the operation entered the cluster *)
-    responded : float;  (** virtual time its callback fired *)
-    payload : Blockdev.Block.t option;
-        (** data written (all writes) or returned (successful reads) *)
-    version : int option;  (** version assigned/served, on success *)
-    error : Types.failure_reason option;
-  }
-end
-
-val add_observer : t -> (Observe.event -> unit) -> unit
-(** Subscribe to operation completions; observers fire in subscription
-    order, at the virtual time of the response, before the operation's own
-    callback. *)
-
 (** {1 Block access} *)
 
 val read :
@@ -90,24 +62,19 @@ val write_sync :
 
 (** {1 Group commit}
 
-    Batched block access.  Blocks must be distinct, in range and
-    non-empty ([Invalid_argument] otherwise).  A batch of one is
-    delegated to the single-block path, so it is bit-identical to
-    {!read}/{!write} — same wire traffic, same observer events.  Larger
-    batches run the scheme's amortized group round (one vote collection
-    and one update multicast for voting; one update multicast for the
-    copy schemes); dynamic voting has no shared round — its per-block
-    update groups cannot ride one message — and transparently chains the
-    single-block operations instead.  Observers see one event per block
-    of the group. *)
+    Batched block writes.  Blocks must pass {!valid_batch}
+    ([Invalid_argument] otherwise).  A batch of one is delegated to the
+    single-block path, so it is bit-identical to {!write} — same wire
+    traffic, same result.  Larger batches run the scheme's amortized group
+    round (one vote collection and one update multicast for voting; one
+    update multicast for the copy schemes); dynamic voting has no shared
+    round — its per-block update groups cannot ride one message — and
+    transparently chains the single-block writes instead.  Reads have no
+    batched form: each block costs one {!read}. *)
 
-val read_blocks :
-  t ->
-  ?deadline:float ->
-  site:int ->
-  blocks:Blockdev.Block.id list ->
-  (Types.batch_read_result -> unit) ->
-  unit
+val valid_batch : t -> Blockdev.Block.id list -> bool
+(** The precondition of {!write_blocks}: the blocks are non-empty, in
+    range and distinct. *)
 
 val write_blocks :
   t ->
@@ -117,41 +84,12 @@ val write_blocks :
   (Types.batch_write_result -> unit) ->
   unit
 
-val read_blocks_sync :
-  ?deadline:float -> t -> site:int -> blocks:Blockdev.Block.id list -> Types.batch_read_result
-
 val write_blocks_sync :
   ?deadline:float ->
   t ->
   site:int ->
   (Blockdev.Block.id * Blockdev.Block.t) list ->
   Types.batch_write_result
-
-val read_sync_retry :
-  ?deadline:float ->
-  ?rng:Random.State.t ->
-  t ->
-  policy:Retry.policy ->
-  stats:Retry.stats ->
-  site:int ->
-  block:Blockdev.Block.id ->
-  Types.read_result
-(** {!read_sync} wrapped in bounded retries with backoff (see {!Retry}):
-    under injected message loss a quorum round that loses a vote is retried
-    after a backoff instead of surfacing its first transient error.
-    [rng] drives decorrelated jitter (mandatory when the policy asks for
-    it); [deadline] spans the whole retried operation. *)
-
-val write_sync_retry :
-  ?deadline:float ->
-  ?rng:Random.State.t ->
-  t ->
-  policy:Retry.policy ->
-  stats:Retry.stats ->
-  site:int ->
-  block:Blockdev.Block.id ->
-  Blockdev.Block.t ->
-  Types.write_result
 
 (** {1 Failure injection} *)
 

@@ -84,13 +84,43 @@ let read t ?deadline ~site ~block callback =
     callback (Ok (Store.read s.store block, Store.version s.store block))
   else read_repair t ?deadline ~site ~block callback
 
-(* Breaker-pruned awaited set for a Standard ack round.  The update
-   multicast still reaches every addressee, and W is always computed from
-   the {e full} addressee set (plus comatose absorbers) — the pruning only
-   stops the coordinator waiting on a suspected-slow peer's ack, it can
-   never shrink W below the send-time was-available set. *)
-let awaited_of t ~site expected =
-  Int_set.filter (fun peer -> Runtime.breaker_allows t.rt ~coordinator:site ~peer) expected
+(* The Standard ack round of [write] and [write_batch]: open a round
+   awaiting the available peers' acks and return its id for the caller's
+   update multicast.  The new W is fixed by who the update was
+   {e addressed} to, not by whose ack made it back in time.
+
+   Comatose peers belong in W too: their stores absorb the update (see
+   the Block_update handler), and leaving them out loses the race where a
+   write lands between a recovering site's version-vector exchange and its
+   becoming available — a later total-failure recovery starting there
+   could close over a set that misses the newest copy and come back stale.
+   W must be the send-time was-available set (plus absorbers), never the
+   acker set: an available peer whose ack is merely delayed past the round
+   timeout still absorbs the update, and dropping it from W unsoundly
+   shrinks every closure computed from this site.  Too large is safe
+   (closure recovery waits for more sites and takes the newest copy among
+   them); too small is a stale recovery.
+
+   Breaker-open peers are left out of the awaited set only: the multicast
+   still reaches them and they still enter W, so pruning stops the
+   coordinator waiting on a suspected-slow peer's ack and can never shrink
+   W below the send-time was-available set. *)
+let ack_round t ?deadline ~site ~ok callback =
+  let expected = Runtime.peers_matching t.rt site (fun p -> p.state = Types.Available) in
+  let comatose_at_send = Runtime.peers_matching t.rt site (fun p -> p.state = Types.Comatose) in
+  let awaited =
+    Int_set.filter (fun peer -> Runtime.breaker_allows t.rt ~coordinator:site ~peer) expected
+  in
+  Runtime.begin_round ?deadline t.rt ~coordinator:site ~expected:awaited
+    ~on_complete:(fun outcome replies ->
+      ignore (replies : (int * Wire.t) list);
+      match outcome with
+      | Runtime.Aborted -> callback (Error Types.Site_not_available)
+      | Runtime.Complete | Runtime.Timeout ->
+          let comatose_now = Runtime.peers_matching t.rt site (fun p -> p.state = Types.Comatose) in
+          Runtime.set_w t.rt site
+            (Int_set.add site (Int_set.union expected (Int_set.union comatose_at_send comatose_now)));
+          callback (Ok ok))
 
 let write t ?deadline ~site ~block data callback =
   let s = Runtime.site t.rt site in
@@ -108,37 +138,8 @@ let write t ?deadline ~site ~block data callback =
         callback (Ok version)
     | Standard ->
         (* The broadcast carries our current W estimate (the receivers of
-           the previous write); the new W is fixed by who the update was
-           {e addressed} to, not by whose ack made it back in time. *)
-        let expected = Runtime.peers_matching t.rt site (fun p -> p.state = Types.Available) in
-        (* Comatose peers belong in W too: their stores absorb the update
-           (see the Block_update handler), and leaving them out loses the
-           race where a write lands between a recovering site's
-           version-vector exchange and its becoming available — a later
-           total-failure recovery starting there could close over a set
-           that misses the newest copy and come back stale.  W must be the
-           send-time was-available set (plus absorbers), never the acker
-           set: an available peer whose ack is merely delayed past the
-           round timeout still absorbs the update, and dropping it from W
-           unsoundly shrinks every closure computed from this site.  Too
-           large is safe (closure recovery waits for more sites and takes
-           the newest copy among them); too small is a stale recovery. *)
-        let comatose_at_send = Runtime.peers_matching t.rt site (fun p -> p.state = Types.Comatose) in
-        let rid =
-          Runtime.begin_round ?deadline t.rt ~coordinator:site ~expected:(awaited_of t ~site expected)
-            ~on_complete:(fun outcome replies ->
-              ignore (replies : (int * Wire.t) list);
-              match outcome with
-              | Runtime.Aborted -> callback (Error Types.Site_not_available)
-              | Runtime.Complete | Runtime.Timeout ->
-                  let comatose_now =
-                    Runtime.peers_matching t.rt site (fun p -> p.state = Types.Comatose)
-                  in
-                  Runtime.set_w t.rt site
-                    (Int_set.add site
-                       (Int_set.union expected (Int_set.union comatose_at_send comatose_now)));
-                  callback (Ok version))
-        in
+           the previous write). *)
+        let rid = ack_round t ?deadline ~site ~ok:version callback in
         Runtime.broadcast t.rt ~op:Net.Message.Write ~from:site
           (Wire.Block_update { rid = Some rid; block; version; data; carried_w = s.w })
   end
@@ -146,28 +147,6 @@ let write t ?deadline ~site ~block data callback =
 (* ------------------------------------------------------------------ *)
 (* Group commit                                                        *)
 (* ------------------------------------------------------------------ *)
-
-(* Copy-scheme reads are local, so batching them saves nothing on the
-   wire; the batched form exists so the cache and driver layers can use
-   one calling convention across schemes. *)
-let read_batch t ?deadline ~site ~blocks callback =
-  let s = Runtime.site t.rt site in
-  if s.state <> Types.Available then callback (Error Types.Site_not_available)
-  else
-    (* Heal any quarantined member of the group first (chained single-block
-       read-repairs), then serve the whole group locally as before. *)
-    let rec heal = function
-      | [] ->
-          callback
-            (Ok (List.map (fun b -> (Store.read s.store b, Store.version s.store b)) blocks))
-      | b :: rest ->
-          if Durable.checksum_ok s.durable b then heal rest
-          else
-            read_repair t ?deadline ~site ~block:b (function
-              | Ok _ -> heal rest
-              | Error e -> callback (Error e))
-    in
-    heal blocks
 
 (* Figure 5/6 writes, amortized: all k new versions travel in one
    update multicast, and (Standard) one ack per peer covers the whole
@@ -193,25 +172,7 @@ let write_batch t ?deadline ~site writes callback =
           (Wire.Batch_update { rid = None; writes = payloads; carried_w = full_set t });
         callback (Ok versions)
     | Standard ->
-        let expected = Runtime.peers_matching t.rt site (fun p -> p.state = Types.Available) in
-        let comatose_at_send = Runtime.peers_matching t.rt site (fun p -> p.state = Types.Comatose) in
-        let rid =
-          Runtime.begin_round ?deadline t.rt ~coordinator:site ~expected:(awaited_of t ~site expected)
-            ~on_complete:(fun outcome replies ->
-              ignore (replies : (int * Wire.t) list);
-              match outcome with
-              | Runtime.Aborted -> callback (Error Types.Site_not_available)
-              | Runtime.Complete | Runtime.Timeout ->
-                  (* Same W rule as the single-block write: send-time
-                     addressees plus comatose absorbers plus ourselves. *)
-                  let comatose_now =
-                    Runtime.peers_matching t.rt site (fun p -> p.state = Types.Comatose)
-                  in
-                  Runtime.set_w t.rt site
-                    (Int_set.add site
-                       (Int_set.union expected (Int_set.union comatose_at_send comatose_now)));
-                  callback (Ok versions))
-        in
+        let rid = ack_round t ?deadline ~site ~ok:versions callback in
         Runtime.broadcast t.rt ~op:Net.Message.Write ~from:site
           (Wire.Batch_update { rid = Some rid; writes = payloads; carried_w = s.w })
   end
@@ -474,7 +435,7 @@ let handle t (s : Runtime.site) ~from msg =
       end
   | Wire.Block_transfer { rid; _ } -> Runtime.reply t.rt ~rid ~from msg
   | Wire.Vote_request _ | Wire.Vote_reply _ | Wire.Group_fix _ | Wire.Batch_vote_request _
-  | Wire.Batch_vote_reply _ | Wire.Batch_request _ | Wire.Batch_transfer _ ->
+  | Wire.Batch_vote_reply _ ->
       (* Voting traffic is meaningless under a copy scheme. *)
       ()
 

@@ -61,20 +61,11 @@ val write :
 
 (** {1 Group commit}
 
-    Batched counterparts of [read] and [write].  Reads stay local;
-    a batched write pushes every block of the batch in a single update
-    multicast and (Standard) collects one ack per peer for the whole
-    batch, so the transmission count of a k-block group equals that of a
-    single write.  A batch of one is semantically identical to the
-    single-block operation. *)
-
-val read_batch :
-  t ->
-  ?deadline:float ->
-  site:int ->
-  blocks:Blockdev.Block.id list ->
-  (Types.batch_read_result -> unit) ->
-  unit
+    Batched counterpart of [write]: every block of the batch travels in a
+    single update multicast and (Standard) one ack per peer covers the
+    whole batch, so the transmission count of a k-block group equals that
+    of a single write.  Its ack round and W rule are [write]'s.  A batch
+    of one is semantically identical to the single-block operation. *)
 
 val write_batch :
   t ->

@@ -1,5 +1,7 @@
+type kind = Read | Write
+
 type op_view = {
-  kind : Cluster.Observe.kind;
+  kind : kind;
   block : Blockdev.Block.id;
   site : int;
   invoked : float;
@@ -158,10 +160,10 @@ let read_block t block =
     let view =
       match result with
       | Ok (data, version) ->
-          { kind = Cluster.Observe.Read; block; site = t.last_served; invoked; responded;
+          { kind = Read; block; site = t.last_served; invoked; responded;
             payload = Some data; version = Some version; error = None }
       | Error e ->
-          { kind = Cluster.Observe.Read; block; site = t.last_tried; invoked; responded;
+          { kind = Read; block; site = t.last_tried; invoked; responded;
             payload = None; version = None; error = Some e }
     in
     notify t view
@@ -177,10 +179,10 @@ let write_block t block data =
     let view =
       match result with
       | Ok version ->
-          { kind = Cluster.Observe.Write; block; site = t.last_served; invoked; responded;
+          { kind = Write; block; site = t.last_served; invoked; responded;
             payload = Some data; version = Some version; error = None }
       | Error e ->
-          { kind = Cluster.Observe.Write; block; site = t.last_tried; invoked; responded;
+          { kind = Write; block; site = t.last_tried; invoked; responded;
             payload = Some data; version = None; error = Some e }
     in
     notify t view
@@ -192,26 +194,6 @@ let write_block t block data =
    per block.  Observers still see one event per block, after the batch
    resolves, so history checkers need not know about batching. *)
 
-let notify_batch_reads t ~invoked blocks result =
-  if has_observers t then begin
-    let responded = Sim.Engine.now (Cluster.engine t.cluster) in
-    match result with
-    | Ok results ->
-        List.iter2
-          (fun block (data, version) ->
-            notify t
-              { kind = Cluster.Observe.Read; block; site = t.last_served; invoked; responded;
-                payload = Some data; version = Some version; error = None })
-          blocks results
-    | Error e ->
-        List.iter
-          (fun block ->
-            notify t
-              { kind = Cluster.Observe.Read; block; site = t.last_tried; invoked; responded;
-                payload = None; version = None; error = Some e })
-          blocks
-  end
-
 let notify_batch_writes t ~invoked writes result =
   if has_observers t then begin
     let responded = Sim.Engine.now (Cluster.engine t.cluster) in
@@ -220,27 +202,24 @@ let notify_batch_writes t ~invoked writes result =
         List.iter2
           (fun (block, data) version ->
             notify t
-              { kind = Cluster.Observe.Write; block; site = t.last_served; invoked; responded;
+              { kind = Write; block; site = t.last_served; invoked; responded;
                 payload = Some data; version = Some version; error = None })
           writes versions
     | Error e ->
         List.iter
           (fun (block, data) ->
             notify t
-              { kind = Cluster.Observe.Write; block; site = t.last_tried; invoked; responded;
+              { kind = Write; block; site = t.last_tried; invoked; responded;
                 payload = Some data; version = None; error = Some e })
           writes
   end
 
-let read_blocks t blocks =
-  let invoked = Sim.Engine.now (Cluster.engine t.cluster) in
-  t.batch_requests <- t.batch_requests + 1;
-  t.batched_blocks <- t.batched_blocks + List.length blocks;
-  let result = forward t (fun ~deadline site -> Cluster.read_blocks_sync ?deadline t.cluster ~site ~blocks) in
-  notify_batch_reads t ~invoked blocks result;
-  result
-
+(* The batch is validated before any counter moves: a malformed batch is
+   the caller's bug, not a request the degradation identity must account
+   for. *)
 let write_blocks t writes =
+  if not (Cluster.valid_batch t.cluster (List.map fst writes)) then
+    invalid_arg "Driver_stub.write_blocks: blocks must be non-empty, in range and distinct";
   let invoked = Sim.Engine.now (Cluster.engine t.cluster) in
   t.batch_requests <- t.batch_requests + 1;
   t.batched_blocks <- t.batched_blocks + List.length writes;

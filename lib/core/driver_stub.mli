@@ -58,14 +58,14 @@ val write_block : t -> Blockdev.Block.id -> Blockdev.Block.t -> Types.write_resu
 
 (** {1 Group commit}
 
-    Batched forwarding: the whole group rides one rotation, so failover
-    probes, the settle barrier and bounded retries are paid once per
-    batch rather than once per block.  Blocks must be distinct and in
-    range (see {!Cluster.read_blocks}); a batch of one behaves exactly
-    like the single-block call. *)
+    Batched forwarding of the write-back cache's dirty groups: the whole
+    group rides one rotation, so failover probes, the settle barrier and
+    bounded retries are paid once per batch rather than once per block.
+    A batch of one behaves exactly like {!write_block}. *)
 
-val read_blocks : t -> Blockdev.Block.id list -> Types.batch_read_result
 val write_blocks : t -> (Blockdev.Block.id * Blockdev.Block.t) list -> Types.batch_write_result
+(** Raises [Invalid_argument] before any counter moves unless the blocks
+    pass {!Cluster.valid_batch}. *)
 
 val requests : t -> int
 (** Logical block requests forwarded (one per [read_block] /
@@ -73,8 +73,8 @@ val requests : t -> int
     separately so per-request traffic ratios stay honest). *)
 
 val batch_requests : t -> int
-(** Batched requests forwarded (one per [read_blocks] / [write_blocks]
-    call; also counted in [requests]). *)
+(** Batched requests forwarded (one per [write_blocks] call; also counted
+    in [requests]). *)
 
 val batched_blocks : t -> int
 (** Total blocks carried by batched requests; [batched_blocks /.
@@ -102,14 +102,15 @@ val last_served : t -> int
 
 (** {1 Operation observers}
 
-    Per-request completion events for the checking subsystem.  Unlike
-    {!Cluster.add_observer} — which reports every per-site attempt — a
-    stub observer sees one event per logical request, after failover and
-    retry resolution, which is the client-visible history a consistency
-    oracle must judge. *)
+    Per-request completion events for the checking subsystem: an observer
+    sees one event per logical request, after failover and retry
+    resolution, which is the client-visible history a consistency oracle
+    must judge.  A batched write reports one event per block. *)
+
+type kind = Read | Write
 
 type op_view = {
-  kind : Cluster.Observe.kind;
+  kind : kind;
   block : Blockdev.Block.id;
   site : int;  (** site that served (success) or was last tried (failure) *)
   invoked : float;

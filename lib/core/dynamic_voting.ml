@@ -294,8 +294,7 @@ let handle t (s : Runtime.site) ~from msg =
   | Wire.Vote_reply { rid; _ } | Wire.Block_transfer { rid; _ } | Wire.Write_ack { rid; _ } ->
       Runtime.reply t.rt ~rid ~from msg
   | Wire.Recovery_probe _ | Wire.Recovery_reply _ | Wire.Vv_send _ | Wire.Vv_reply _
-  | Wire.Batch_vote_request _ | Wire.Batch_vote_reply _ | Wire.Batch_update _ | Wire.Batch_ack _
-  | Wire.Batch_request _ | Wire.Batch_transfer _ ->
+  | Wire.Batch_vote_request _ | Wire.Batch_vote_reply _ | Wire.Batch_update _ | Wire.Batch_ack _ ->
       (* Dynamic voting keeps per-block update groups, which a shared
          batch round cannot carry; the cluster layer falls back to
          chained single-block operations for this scheme. *)

@@ -65,22 +65,12 @@ let write_block t k data =
         t.last_error <- Some reason;
         false
 
-(* Batched forms, for the write-back cache: one stub rotation serves the
-   whole group.  Mirrors the single-block convention — out-of-range ids
-   answer None/false without touching the cluster. *)
-let read_blocks t ks =
-  if ks = [] || List.exists (fun k -> k < 0 || k >= capacity t) ks then None
-  else
-    match Driver_stub.read_blocks t.stub ks with
-    | Ok results ->
-        t.last_error <- None;
-        Some (List.map fst results)
-    | Error reason ->
-        t.last_error <- Some reason;
-        None
-
+(* Batched write, for the write-back cache: one stub rotation commits the
+   whole group.  Mirrors the single-block convention — a malformed batch
+   (empty, out of range or with a repeated id) answers false without
+   touching the cluster or any counter. *)
 let write_blocks t writes =
-  if writes = [] || List.exists (fun (k, _) -> k < 0 || k >= capacity t) writes then false
+  if not (Cluster.valid_batch t.cluster (List.map fst writes)) then false
   else
     match Driver_stub.write_blocks t.stub writes with
     | Ok _versions ->

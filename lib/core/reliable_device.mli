@@ -37,14 +37,11 @@ val stub : t -> Driver_stub.t
 
 include Blockdev.Device_intf.S with type t := t
 
-val read_blocks : t -> Blockdev.Block.id list -> Blockdev.Block.t list option
-(** Batched read through one stub rotation (see {!Driver_stub.read_blocks}).
-    [None] if any id is out of range, the list is empty, or the batch
-    failed; blocks must be distinct. *)
-
 val write_blocks : t -> (Blockdev.Block.id * Blockdev.Block.t) list -> bool
 (** Batched write-behind target of the write-back cache: the whole dirty
-    group commits in one stub rotation. *)
+    group commits in one stub rotation.  [false] without touching the
+    cluster when the batch is empty, has an id out of range or repeats an
+    id, as {!write_block} answers an out-of-range id. *)
 
 val last_error : t -> Types.failure_reason option
 (** Reason for the most recent [None]/[false] answer, for diagnostics. *)

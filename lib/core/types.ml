@@ -32,7 +32,6 @@ let failure_reason_to_string = function
 
 type read_result = (Blockdev.Block.t * int, failure_reason) result
 type write_result = (int, failure_reason) result
-type batch_read_result = ((Blockdev.Block.t * int) list, failure_reason) result
 type batch_write_result = (int list, failure_reason) result
 
 let int_set_of_list l = Int_set.of_list l

@@ -43,14 +43,11 @@ type read_result = (Blockdev.Block.t * int, failure_reason) result
 type write_result = (int, failure_reason) result
 (** On success: the version number assigned to the write. *)
 
-type batch_read_result = ((Blockdev.Block.t * int) list, failure_reason) result
-(** Group commit: results in batch order, or one failure for the whole
-    batch (the first per-block failure a single-block operation would
-    report).  Callers wanting partial progress split the batch and retry
-    the halves — see [Fs.Buffer_cache]'s flush. *)
-
 type batch_write_result = (int list, failure_reason) result
-(** On success: the versions assigned, in batch order. *)
+(** Group commit: the versions assigned, in batch order, or one failure
+    for the whole batch (the first per-block failure a single-block write
+    would report).  Callers wanting partial progress split the batch and
+    retry the halves — see [Fs.Buffer_cache]'s flush. *)
 
 val int_set_of_list : int list -> Int_set.t
 val pp_int_set : Format.formatter -> Int_set.t -> unit

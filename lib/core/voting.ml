@@ -119,18 +119,19 @@ let pull_and_serve t ?deadline ~site ~block ~source ~min_version callback =
   Runtime.send t.rt ~op:Net.Message.Read ~from:site ~dst:source (Wire.Block_request { rid; block })
 
 (* ------------------------------------------------------------------ *)
-(* Group commit (batched operations)                                   *)
+(* Group commit (batched writes)                                       *)
 (*                                                                     *)
-(* The k-block analogue of Figures 3 and 4: ONE vote collection covers *)
-(* every block of the batch (a batch-vote-request out, batch-vote      *)
-(* replies back) and, for writes, ONE update multicast carries all k   *)
-(* new (block, version, data) triples.  The quorum test is unchanged — *)
-(* weights are per site, not per block — so a batch commits iff a      *)
-(* single-block write at the same instant would.                       *)
+(* The k-block analogue of Figure 4: ONE vote collection covers every  *)
+(* block of the batch (a batch-vote-request out, batch-vote replies    *)
+(* back) and ONE update multicast carries all k new (block, version,   *)
+(* data) triples.  The quorum test is unchanged — weights are per      *)
+(* site, not per block — so a batch commits iff a single-block write   *)
+(* at the same instant would.                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Per-site batched votes: (site, (block, version) assoc, weight). *)
-let collect_batch_votes ?deadline t ~site_id ~blocks ~purpose ~k =
+let collect_batch_votes ?deadline t ~site_id ~blocks ~k =
+  let purpose = Net.Message.Write in
   let expected =
     prune_suspects t ~site_id ~quorum_met:(quorum_met_for t purpose) (Runtime.up_peers t.rt site_id)
   in
@@ -165,33 +166,13 @@ let batch_max_version votes block =
     (fun acc (_, bv, _) -> match List.assoc_opt block bv with Some v -> Int.max acc v | None -> acc)
     0 votes
 
-(* Best data site for [block]: highest version among non-witness voters,
-   local site preferred on ties, then lowest id — the batched mirror of
-   [best_vote]. *)
-let batch_best_data_site t self votes block =
-  List.fold_left
-    (fun acc (site, bv, _) ->
-      if is_witness t site then acc
-      else
-        match List.assoc_opt block bv with
-        | None -> acc
-        | Some v -> (
-            match acc with
-            | Some (s0, v0) ->
-                let better =
-                  if v <> v0 then v > v0 else if site = self || s0 = self then site = self else site < s0
-                in
-                if better then Some (site, v) else acc
-            | None -> Some (site, v)))
-    None votes
-
 let write_batch t ?deadline ~site writes callback =
   let s = Runtime.site t.rt site in
   if s.state <> Types.Available then callback (Error Types.Site_not_available)
   else if Runtime.past_deadline t.rt deadline then callback (Error Types.Timed_out)
   else
     let blocks = List.map fst writes in
-    collect_batch_votes ?deadline t ~site_id:site ~blocks ~purpose:Net.Message.Write ~k:(function
+    collect_batch_votes ?deadline t ~site_id:site ~blocks ~k:(function
       | None -> callback (Error Types.Site_not_available)
       | Some votes ->
           let weight = List.fold_left (fun acc (_, _, w) -> acc + w) 0 votes in
@@ -210,149 +191,6 @@ let write_batch t ?deadline ~site writes callback =
             Runtime.broadcast t.rt ~op:Net.Message.Write ~from:site
               (Wire.Batch_update { rid = None; writes = versioned; carried_w = Int_set.empty });
             callback (Ok (List.map (fun (_, v, _) -> v) versioned))
-          end)
-
-(* Pull every block the local site cannot serve, grouped into one
-   batch-request per distinct source site; assemble the full result in the
-   caller's block order once the last source answers. *)
-let read_batch t ?deadline ~site ~blocks callback =
-  let s = Runtime.site t.rt site in
-  if s.state <> Types.Available then callback (Error Types.Site_not_available)
-  else if Runtime.past_deadline t.rt deadline then callback (Error Types.Timed_out)
-  else
-    collect_batch_votes ?deadline t ~site_id:site ~blocks ~purpose:Net.Message.Read ~k:(function
-      | None -> callback (Error Types.Site_not_available)
-      | Some votes ->
-          let weight = List.fold_left (fun acc (_, _, w) -> acc + w) 0 votes in
-          if not (Quorum.read_quorum_met t.quorum weight) then callback (Error Types.No_quorum)
-          else begin
-            (* Classify each block: served locally, or pulled from its best
-               data site.  Any block whose current version no data site in
-               the quorum holds fails the whole batch, as it would fail a
-               single-block read. *)
-            let classified =
-              List.map
-                (fun block ->
-                  let max_version = batch_max_version votes block in
-                  match batch_best_data_site t site votes block with
-                  | None -> Error Types.Current_copy_unreachable
-                  | Some (_, best_version) when best_version < max_version ->
-                      Error Types.Current_copy_unreachable
-                  | Some (best_site, best_version) ->
-                      let serve_local =
-                        (not (is_witness t site))
-                        &&
-                        match Durable.read_verified s.durable block with
-                        | Some (_, v) -> v >= best_version
-                        | None ->
-                            (* Quarantined local copy.  It can only have won
-                               the vote tie at effective version 0 (a rotted
-                               never-written block, nothing remote to pull):
-                               heal it with the zero block and serve that. *)
-                            best_site = site
-                            && best_version = 0
-                            &&
-                            (Durable.write s.durable block Blockdev.Block.zero ~version:0;
-                             true)
-                      in
-                      if serve_local then Ok (block, `Local)
-                      else Ok (block, `Pull (best_site, best_version)))
-                blocks
-            in
-            match List.find_map (function Error e -> Some e | Ok _ -> None) classified with
-            | Some e -> callback (Error e)
-            | None ->
-                let classified = List.filter_map Result.to_option classified in
-                let pulls =
-                  List.filter_map
-                    (function b, `Pull (src, v) -> Some (b, src, v) | _ -> None)
-                    classified
-                in
-                let fetched : (Blockdev.Block.id, Blockdev.Block.t * int) Hashtbl.t =
-                  Hashtbl.create (List.length pulls)
-                in
-                let assemble () =
-                  callback
-                    (Ok
-                       (List.map
-                          (fun block ->
-                            match Hashtbl.find_opt fetched block with
-                            | Some dv -> dv
-                            | None ->
-                                (Blockdev.Store.read s.store block, Blockdev.Store.version s.store block))
-                          blocks))
-                in
-                if pulls = [] then assemble ()
-                else if Runtime.past_deadline t.rt deadline then
-                  (* The votes consumed the whole budget; the pulls cannot
-                     meet it, so issue none. *)
-                  callback (Error Types.Timed_out)
-                else begin
-                  (* One batch-request per distinct source; remember the
-                     version each block's source promised in its vote. *)
-                  let required = Hashtbl.create (List.length pulls) in
-                  List.iter (fun (block, _, v) -> Hashtbl.replace required block v) pulls;
-                  let by_source = Hashtbl.create 4 in
-                  List.iter
-                    (fun (block, src, _) ->
-                      let l = try Hashtbl.find by_source src with Not_found -> [] in
-                      Hashtbl.replace by_source src (block :: l))
-                    pulls;
-                  let sources =
-                    Hashtbl.fold (fun src bs acc -> (src, List.rev bs) :: acc) by_source []
-                    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-                  in
-                  let outstanding = ref (List.length sources) in
-                  let failed = ref None in
-                  let one_done () =
-                    decr outstanding;
-                    if !outstanding = 0 then
-                      match !failed with Some e -> callback (Error e) | None -> assemble ()
-                  in
-                  List.iter
-                    (fun (source, sblocks) ->
-                      let rid =
-                        Runtime.begin_round ?deadline t.rt ~coordinator:site
-                          ~expected:(Int_set.singleton source)
-                          ~on_complete:(fun outcome replies ->
-                            if not (coordinator_alive t site) then begin
-                              failed := Some Types.Site_not_available;
-                              one_done ()
-                            end
-                            else
-                              match
-                                ( outcome,
-                                  List.find_map
-                                    (function
-                                      | _, Wire.Batch_transfer { payloads; _ } -> Some payloads
-                                      | _ -> None)
-                                    replies )
-                              with
-                              | (Runtime.Complete | Runtime.Timeout), Some payloads ->
-                                  List.iter
-                                    (fun (block, version, data) ->
-                                      (* A payload below the version its
-                                         source voted means the copy rotted
-                                         between vote and transfer: install
-                                         nothing and leave the block
-                                         unfetched, failing the batch. *)
-                                      match Hashtbl.find_opt required block with
-                                      | Some v when version >= v ->
-                                          absorb t s block version data;
-                                          Hashtbl.replace fetched block (data, version)
-                                      | Some _ | None -> ())
-                                    payloads;
-                                  if List.exists (fun b -> not (Hashtbl.mem fetched b)) sblocks then
-                                    failed := Some Types.Timed_out;
-                                  one_done ()
-                              | _, None | Runtime.Aborted, _ ->
-                                  failed := Some Types.Timed_out;
-                                  one_done ())
-                      in
-                      Runtime.send t.rt ~op:Net.Message.Read ~from:site ~dst:source
-                        (Wire.Batch_request { rid; blocks = sblocks }))
-                    sources
-                end
           end)
 
 let read t ?deadline ~site ~block callback =
@@ -459,24 +297,7 @@ let handle t (s : Runtime.site) ~from msg =
            })
   | Wire.Batch_update { writes; _ } ->
       List.iter (fun (block, version, data) -> absorb t s block version data) writes
-  | Wire.Batch_request { rid; blocks } ->
-      assert (not (is_witness t s.id));
-      Runtime.send t.rt ~op:Net.Message.Read ~from:s.id ~dst:from
-        (Wire.Batch_transfer
-           {
-             rid;
-             payloads =
-               List.map
-                 (fun b ->
-                   let version = Durable.effective_version s.durable b in
-                   let data =
-                     if version = 0 then Blockdev.Block.zero else Blockdev.Store.read s.store b
-                   in
-                   (b, version, data))
-                 blocks;
-           })
-  | Wire.Vote_reply { rid; _ } | Wire.Block_transfer { rid; _ }
-  | Wire.Batch_vote_reply { rid; _ } | Wire.Batch_transfer { rid; _ } ->
+  | Wire.Vote_reply { rid; _ } | Wire.Block_transfer { rid; _ } | Wire.Batch_vote_reply { rid; _ } ->
       Runtime.reply t.rt ~rid ~from msg
   | Wire.Write_ack _ | Wire.Recovery_probe _ | Wire.Recovery_reply _ | Wire.Vv_send _
   | Wire.Vv_reply _ | Wire.Group_fix _ | Wire.Batch_ack _ ->

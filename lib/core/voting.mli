@@ -42,26 +42,13 @@ val write :
 
 (** {1 Group commit}
 
-    The k-block analogue of Figures 3 and 4: one vote collection covers
-    every block of the batch, and a batched write pushes all k new
-    versions in a single update multicast.  A batch therefore costs the
-    same {e number} of transmissions as one single-block operation (their
-    sizes grow with k), which is the whole amortization argument of the
-    group-commit fast path.  Blocks must be distinct; a batch of one is
-    semantically identical to the single-block operation. *)
-
-val read_batch :
-  t ->
-  ?deadline:float ->
-  site:int ->
-  blocks:Blockdev.Block.id list ->
-  (Types.batch_read_result -> unit) ->
-  unit
-(** One vote round for all [blocks]; blocks whose current copy the local
-    site holds are served locally, the rest are pulled with one
-    batch-request per distinct source site.  Results are in the order of
-    [blocks].  Fails as a whole with the first per-block failure a
-    single-block read would report. *)
+    The k-block analogue of Figure 4: one vote collection covers every
+    block of the batch, and all k new versions travel in a single update
+    multicast.  A batch therefore costs the same {e number} of
+    transmissions as one single-block write (their sizes grow with k),
+    which is the whole amortization argument of the group-commit fast
+    path.  Blocks must be distinct; a batch of one is semantically
+    identical to {!write}. *)
 
 val write_batch :
   t ->

@@ -56,8 +56,6 @@ type t =
       carried_w : Types.Int_set.t;
     }
   | Batch_ack of { rid : int; blocks : Blockdev.Block.id list }
-  | Batch_request of { rid : int; blocks : Blockdev.Block.id list }
-  | Batch_transfer of { rid : int; payloads : (Blockdev.Block.id * int * Blockdev.Block.t) list }
 
 let category = function
   | Vote_request _ -> Net.Message.Vote_request
@@ -77,8 +75,6 @@ let category = function
   | Batch_vote_reply _ -> Net.Message.Vote_reply
   | Batch_update _ -> Net.Message.Block_update
   | Batch_ack _ -> Net.Message.Write_ack
-  | Batch_request _ -> Net.Message.Block_request
-  | Batch_transfer _ -> Net.Message.Block_transfer
 
 (* Legacy byte-size model: 32-byte header on everything, 4 bytes per
    integer field, full block payloads, 4 bytes per set member / vector
@@ -113,11 +109,7 @@ let model_size = function
   | Batch_update { writes; carried_w; _ } ->
       header + int_field + set_size carried_w
       + List.fold_left (fun acc _ -> acc + (2 * int_field) + Blockdev.Block.size) 0 writes
-  | Batch_ack { blocks; _ } | Batch_request { blocks; _ } ->
-      header + int_field + (int_field * List.length blocks)
-  | Batch_transfer { payloads; _ } ->
-      header + int_field
-      + List.fold_left (fun acc _ -> acc + (2 * int_field) + Blockdev.Block.size) 0 payloads
+  | Batch_ack { blocks; _ } -> header + int_field + (int_field * List.length blocks)
 
 (* Binary codec.
 
@@ -155,8 +147,6 @@ module Tag = struct
     | Batch_vote_reply
     | Batch_update
     | Batch_ack
-    | Batch_request
-    | Batch_transfer
 
   let to_int = function
     | Vote_request -> 1
@@ -174,8 +164,6 @@ module Tag = struct
     | Batch_vote_reply -> 13
     | Batch_update -> 14
     | Batch_ack -> 15
-    | Batch_request -> 16
-    | Batch_transfer -> 17
 
   let of_int = function
     | 1 -> Some Vote_request
@@ -193,8 +181,6 @@ module Tag = struct
     | 13 -> Some Batch_vote_reply
     | 14 -> Some Batch_update
     | 15 -> Some Batch_ack
-    | 16 -> Some Batch_request
-    | 17 -> Some Batch_transfer
     | _ -> None
 end
 
@@ -214,8 +200,6 @@ let tag_of = function
   | Batch_vote_reply _ -> Tag.Batch_vote_reply
   | Batch_update _ -> Tag.Batch_update
   | Batch_ack _ -> Tag.Batch_ack
-  | Batch_request _ -> Tag.Batch_request
-  | Batch_transfer _ -> Tag.Batch_transfer
 
 (* Field emitters, shared by the counting and writing passes. *)
 
@@ -340,12 +324,6 @@ let encode_fields w = function
   | Batch_ack { rid; blocks } ->
       B.varint w rid;
       put_blocks w blocks
-  | Batch_request { rid; blocks } ->
-      B.varint w rid;
-      put_blocks w blocks
-  | Batch_transfer { rid; payloads } ->
-      B.varint w rid;
-      put_writes w payloads
 
 let encode_payload w m =
   B.varint w (Tag.to_int (tag_of m));
@@ -506,14 +484,6 @@ let decode_fields r (tag : Tag.t) =
       let rid = B.r_varint r in
       let blocks = get_blocks r in
       Batch_ack { rid; blocks }
-  | Tag.Batch_request ->
-      let rid = B.r_varint r in
-      let blocks = get_blocks r in
-      Batch_request { rid; blocks }
-  | Tag.Batch_transfer ->
-      let rid = B.r_varint r in
-      let payloads = get_writes r in
-      Batch_transfer { rid; payloads }
 
 type decode_error =
   | Frame_error of Codec.Frame.error
@@ -563,9 +533,7 @@ let rid = function
   | Vv_reply { rid; _ }
   | Batch_vote_request { rid; _ }
   | Batch_vote_reply { rid; _ }
-  | Batch_ack { rid; _ }
-  | Batch_request { rid; _ }
-  | Batch_transfer { rid; _ } ->
+  | Batch_ack { rid; _ } ->
       Some rid
   | Block_update { rid; _ } | Batch_update { rid; _ } -> rid
   | Group_fix _ -> None
@@ -595,7 +563,3 @@ let describe = function
       Printf.sprintf "batch-vote-reply(rid=%d, %d votes, w=%d)" rid (List.length votes) weight
   | Batch_update { writes; _ } -> Printf.sprintf "batch-update(%d writes)" (List.length writes)
   | Batch_ack { rid; blocks } -> Printf.sprintf "batch-ack(rid=%d, %d blocks)" rid (List.length blocks)
-  | Batch_request { rid; blocks } ->
-      Printf.sprintf "batch-request(rid=%d, %d blocks)" rid (List.length blocks)
-  | Batch_transfer { rid; payloads } ->
-      Printf.sprintf "batch-transfer(rid=%d, %d blocks)" rid (List.length payloads)

@@ -87,9 +87,6 @@ type t =
       (** group commit: one update multicast carrying a whole batch of
           (block, version, data) writes *)
   | Batch_ack of { rid : int; blocks : Blockdev.Block.id list }
-  | Batch_request of { rid : int; blocks : Blockdev.Block.id list }
-      (** batched voting read: pull every listed block from one source *)
-  | Batch_transfer of { rid : int; payloads : (Blockdev.Block.id * int * Blockdev.Block.t) list }
 
 val category : t -> Net.Message.category
 (** Batch messages account to the category of their single-block
@@ -139,13 +136,12 @@ module Tag : sig
     | Batch_vote_reply
     | Batch_update
     | Batch_ack
-    | Batch_request
-    | Batch_transfer
 
   val to_int : t -> int
-  (** Stable on-the-wire tag code, starting at 1. *)
+  (** Stable on-the-wire tag code, 1–15 in declaration order. *)
 
   val of_int : int -> t option
+  (** [None] for any code outside 1–15. *)
 end
 
 val tag_of : t -> Tag.t

@@ -11,7 +11,7 @@ let tag_name = function
   | Wire.Tag.Vote_request -> "vote-request"
   | Wire.Tag.Block_update -> "block-update"
   | Wire.Tag.Write_ack -> "write-ack"
-  | Wire.Tag.Batch_transfer -> "batch-transfer"
+  | Wire.Tag.Batch_ack -> "batch-ack"
   | _ -> "other"
 
 (* Two distinct wire constructors: below the dispatch threshold, so

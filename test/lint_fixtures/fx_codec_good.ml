@@ -21,8 +21,6 @@ let tag_byte = function
   | Wire.Tag.Batch_vote_reply -> 'm'
   | Wire.Tag.Batch_update -> 'n'
   | Wire.Tag.Batch_ack -> 'o'
-  | Wire.Tag.Batch_request -> 'p'
-  | Wire.Tag.Batch_transfer -> 'q'
 
 let good_tag_of : Wire.t -> Wire.Tag.t = function
   | Wire.Vote_request _ -> Wire.Tag.Vote_request
@@ -40,5 +38,3 @@ let good_tag_of : Wire.t -> Wire.Tag.t = function
   | Wire.Batch_vote_reply _ -> Wire.Tag.Batch_vote_reply
   | Wire.Batch_update _ -> Wire.Tag.Batch_update
   | Wire.Batch_ack _ -> Wire.Tag.Batch_ack
-  | Wire.Batch_request _ -> Wire.Tag.Batch_request
-  | Wire.Batch_transfer _ -> Wire.Tag.Batch_transfer

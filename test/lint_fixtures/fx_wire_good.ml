@@ -10,9 +10,9 @@ let good_category : Wire.t -> cat = function
   | Wire.Vote_request _ | Wire.Batch_vote_request _ -> Vote
   | Wire.Vote_reply _ | Wire.Batch_vote_reply _ -> Vote
   | Wire.Block_update _ | Wire.Batch_update _ -> Data
-  | Wire.Block_transfer _ | Wire.Batch_transfer _ -> Data
+  | Wire.Block_transfer _ -> Data
   | Wire.Write_ack _ | Wire.Batch_ack _ -> Ack
-  | Wire.Block_request _ | Wire.Batch_request _ -> Control
+  | Wire.Block_request _ -> Control
   | Wire.Recovery_probe _ | Wire.Recovery_reply _ -> Control
   | Wire.Vv_send _ | Wire.Vv_reply _ -> Control
   | Wire.Group_fix _ -> Control

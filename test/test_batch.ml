@@ -1,7 +1,7 @@
-(* Group commit: batched reads/writes through the cluster and the driver
-   stub, batch-1 equivalence with the single-block path, the amortization
-   payoff, and a chaos sweep showing the batched path introduces no new
-   violation classes. *)
+(* Group commit: batched writes through the cluster, the driver stub and
+   the reliable device, batch-1 equivalence with the single-block path,
+   the amortization payoff, and a chaos sweep showing the batched path
+   introduces no new violation classes. *)
 
 module Block = Blockdev.Block
 
@@ -29,30 +29,28 @@ let test_batch_roundtrip scheme () =
   | Ok versions -> Alcotest.(check int) "one version per block" 4 (List.length versions)
   | Error e -> Alcotest.failf "batch write failed: %s" (Blockrep.Types.failure_reason_to_string e));
   Blockrep.Cluster.settle cluster;
-  (match Blockrep.Cluster.read_blocks_sync cluster ~site:0 ~blocks:[ 0; 1; 2; 3 ] with
-  | Ok results ->
-      List.iteri
-        (fun i (data, version) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "block %d data" i)
-            true
-            (Block.equal data (List.assoc i writes));
-          Alcotest.(check bool) "versioned" true (version >= 1))
-        results
-  | Error e -> Alcotest.failf "batch read failed: %s" (Blockrep.Types.failure_reason_to_string e));
+  List.iter
+    (fun (block, data) ->
+      match Blockrep.Cluster.read_sync cluster ~site:0 ~block with
+      | Ok (read, version) ->
+          Alcotest.(check bool) (Printf.sprintf "block %d data" block) true (Block.equal read data);
+          Alcotest.(check bool) "versioned" true (version >= 1)
+      | Error e -> Alcotest.failf "read failed: %s" (Blockrep.Types.failure_reason_to_string e))
+    writes;
   Alcotest.(check bool) "replicas consistent" true
     (Blockrep.Cluster.consistent_available_stores cluster)
 
 let test_batch_validation () =
   let cluster = mk () in
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  let x = Block.of_string "x" in
   Alcotest.(check bool) "empty batch rejected" true
-    (raises (fun () -> Blockrep.Cluster.read_blocks_sync cluster ~site:0 ~blocks:[]));
+    (raises (fun () -> Blockrep.Cluster.write_blocks_sync cluster ~site:0 []));
   Alcotest.(check bool) "duplicate blocks rejected" true
-    (raises (fun () -> Blockrep.Cluster.read_blocks_sync cluster ~site:0 ~blocks:[ 1; 2; 1 ]));
+    (raises (fun () -> Blockrep.Cluster.write_blocks_sync cluster ~site:0 [ (1, x); (2, x); (1, x) ]));
   Alcotest.(check bool) "out-of-range rejected" true
     (raises (fun () ->
-         Blockrep.Cluster.write_blocks_sync cluster ~site:0 [ (99, Block.of_string "x") ]))
+         Blockrep.Cluster.write_blocks_sync cluster ~site:0 [ (99, x) ]))
 
 let traffic_snapshot cluster =
   let traffic = Blockrep.Cluster.traffic cluster in
@@ -76,12 +74,6 @@ let test_batch_of_one_is_bit_identical scheme () =
       Alcotest.(check string) "same error" (Blockrep.Types.failure_reason_to_string e)
         (Blockrep.Types.failure_reason_to_string e')
   | _ -> Alcotest.fail "single and singleton-batch write disagree");
-  (match (Blockrep.Cluster.read_sync a ~site:1 ~block:3, Blockrep.Cluster.read_blocks_sync b ~site:1 ~blocks:[ 3 ]) with
-  | Ok (d, v), Ok [ (d', v') ] ->
-      Alcotest.(check bool) "same data" true (Block.equal d d');
-      Alcotest.(check int) "same read version" v v'
-  | Error _, Error _ -> ()
-  | _ -> Alcotest.fail "single and singleton-batch read disagree");
   Blockrep.Cluster.settle a;
   Blockrep.Cluster.settle b;
   Alcotest.(check (list (pair int int))) "identical traffic counters" (traffic_snapshot a)
@@ -111,20 +103,6 @@ let test_batch_amortizes_write_traffic () =
     true
     (b * 4 <= s)
 
-let test_observers_see_one_event_per_block () =
-  let cluster = mk ~scheme:Blockrep.Types.Available_copy () in
-  let seen = ref [] in
-  Blockrep.Cluster.add_observer cluster (fun ev ->
-      seen := (ev.Blockrep.Cluster.Observe.kind, ev.Blockrep.Cluster.Observe.block) :: !seen);
-  ignore (Blockrep.Cluster.write_blocks_sync cluster ~site:0 (payloads 3));
-  ignore (Blockrep.Cluster.read_blocks_sync cluster ~site:0 ~blocks:[ 0; 1; 2 ]);
-  let writes =
-    List.filter (fun (k, _) -> k = Blockrep.Cluster.Observe.Write) !seen |> List.length
-  in
-  let reads = List.filter (fun (k, _) -> k = Blockrep.Cluster.Observe.Read) !seen |> List.length in
-  Alcotest.(check int) "three write events" 3 writes;
-  Alcotest.(check int) "three read events" 3 reads
-
 (* ------------------------------------------------------------------ *)
 (* Driver stub batched forwarding                                      *)
 (* ------------------------------------------------------------------ *)
@@ -136,12 +114,16 @@ let test_stub_batch_roundtrip_and_counters () =
   (match Blockrep.Driver_stub.write_blocks stub writes with
   | Ok versions -> Alcotest.(check int) "four versions" 4 (List.length versions)
   | Error e -> Alcotest.failf "stub batch write: %s" (Blockrep.Types.failure_reason_to_string e));
-  (match Blockrep.Driver_stub.read_blocks stub [ 0; 1; 2; 3 ] with
-  | Ok results -> Alcotest.(check int) "four blocks back" 4 (List.length results)
-  | Error e -> Alcotest.failf "stub batch read: %s" (Blockrep.Types.failure_reason_to_string e));
-  Alcotest.(check int) "two batched requests" 2 (Blockrep.Driver_stub.batch_requests stub);
-  Alcotest.(check int) "eight batched blocks" 8 (Blockrep.Driver_stub.batched_blocks stub);
-  Alcotest.(check int) "batches counted as requests too" 2 (Blockrep.Driver_stub.requests stub)
+  List.iter
+    (fun (block, data) ->
+      match Blockrep.Driver_stub.read_block stub block with
+      | Ok (read, _) ->
+          Alcotest.(check bool) (Printf.sprintf "block %d back" block) true (Block.equal read data)
+      | Error e -> Alcotest.failf "stub read: %s" (Blockrep.Types.failure_reason_to_string e))
+    writes;
+  Alcotest.(check int) "one batched request" 1 (Blockrep.Driver_stub.batch_requests stub);
+  Alcotest.(check int) "four batched blocks" 4 (Blockrep.Driver_stub.batched_blocks stub);
+  Alcotest.(check int) "the batch and 4 reads are requests" 5 (Blockrep.Driver_stub.requests stub)
 
 let test_stub_batch_fails_over () =
   (* Home down: the whole batch fails over in one rotation. *)
@@ -162,6 +144,27 @@ let test_stub_observers_per_block () =
   Blockrep.Driver_stub.add_observer stub (fun _ -> incr events);
   ignore (Blockrep.Driver_stub.write_blocks stub (payloads 5));
   Alcotest.(check int) "one client-visible event per block" 5 !events
+
+let test_duplicate_ids_refused_uncounted () =
+  (* A repeated id makes a malformed batch, like an out-of-range one: the
+     device answers false and the stub raises, both before any counter
+     moves, so the degradation identity still balances. *)
+  let cluster = mk ~scheme:Blockrep.Types.Available_copy () in
+  let dev = Blockrep.Reliable_device.create cluster in
+  let x = Block.of_string "x" in
+  Alcotest.(check bool) "device refuses the batch" false
+    (Blockrep.Reliable_device.write_blocks dev [ (1, x); (1, x) ]);
+  Alcotest.(check bool) "stub raises" true
+    (try
+       ignore (Blockrep.Driver_stub.write_blocks (Blockrep.Reliable_device.stub dev) [ (2, x); (2, x) ]);
+       false
+     with Invalid_argument _ -> true);
+  let d = Blockrep.Reliable_device.degradation dev in
+  Alcotest.(check int) "no request counted" 0 d.Blockrep.Reliable_device.requests;
+  Alcotest.(check bool) "degradation conserved" true
+    (Blockrep.Reliable_device.degradation_conserved d);
+  Alcotest.(check (list int)) "nothing written" [ 0; 0 ]
+    (List.map (fun block -> Blockrep.Cluster.effective_version cluster ~site:0 ~block) [ 1; 2 ])
 
 (* ------------------------------------------------------------------ *)
 (* Amortization (the acceptance criterion)                             *)
@@ -240,8 +243,6 @@ let () =
             Alcotest.test_case "batch validation" `Quick test_batch_validation;
             Alcotest.test_case "batch amortizes write traffic" `Quick
               test_batch_amortizes_write_traffic;
-            Alcotest.test_case "observers see per-block events" `Quick
-              test_observers_see_one_event_per_block;
           ] );
       ( "stub",
         [
@@ -249,6 +250,8 @@ let () =
             test_stub_batch_roundtrip_and_counters;
           Alcotest.test_case "batch fails over" `Quick test_stub_batch_fails_over;
           Alcotest.test_case "per-block observer events" `Quick test_stub_observers_per_block;
+          Alcotest.test_case "duplicate ids refused uncounted" `Quick
+            test_duplicate_ids_refused_uncounted;
         ] );
       ( "amortization",
         [

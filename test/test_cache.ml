@@ -191,13 +191,6 @@ module Flaky_dev = struct
     t.group_sizes <- 1 :: t.group_sizes;
     (not (List.mem k t.bad)) && Blockdev.Mem_device.write_block t.mem k d
 
-  let read_blocks t ks =
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | k :: rest -> ( match read_block t k with Some d -> go (d :: acc) rest | None -> None)
-    in
-    if ks = [] then None else go [] ks
-
   let write_blocks t ws =
     t.write_requests <- t.write_requests + 1;
     t.group_sizes <- List.length ws :: t.group_sizes;

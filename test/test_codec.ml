@@ -53,8 +53,6 @@ let sample_messages =
     Wire.Batch_update
       { rid = Some 7; writes = [ (0, 2, blk "w0"); (4, 5, blk "w4") ]; carried_w = set [ 1 ] };
     Wire.Batch_ack { rid = 7; blocks = [ 0; 4 ] };
-    Wire.Batch_request { rid = 8; blocks = [ 1; 2; 3 ] };
-    Wire.Batch_transfer { rid = 8; payloads = [ (1, 1, Block.zero) ] };
   ]
 
 (* Structural equality with the right notion per field (Int_set trees can
@@ -101,9 +99,6 @@ let wire_equal (a : Wire.t) (b : Wire.t) =
       x.rid = y.rid && List.equal triple_eq x.writes y.writes
       && Types.Int_set.equal x.carried_w y.carried_w
   | Wire.Batch_ack x, Wire.Batch_ack y -> x.rid = y.rid && x.blocks = y.blocks
-  | Wire.Batch_request x, Wire.Batch_request y -> x.rid = y.rid && x.blocks = y.blocks
-  | Wire.Batch_transfer x, Wire.Batch_transfer y ->
-      x.rid = y.rid && List.equal triple_eq x.payloads y.payloads
   | _, _ -> false
 
 let check_roundtrip m =
@@ -125,8 +120,8 @@ let test_size_is_encoded_length () =
 let test_tags_distinct_and_stable () =
   let codes = List.map (fun m -> Wire.Tag.to_int (Wire.tag_of m)) sample_messages in
   let distinct = List.sort_uniq compare codes in
-  (* 18 samples over 17 constructors: two Block_updates share a tag. *)
-  Alcotest.(check int) "17 distinct tags" 17 (List.length distinct);
+  (* 16 samples over 15 constructors: two Block_updates share a tag. *)
+  Alcotest.(check int) "15 distinct tags" 15 (List.length distinct);
   List.iter
     (fun c ->
       match Wire.Tag.of_int c with
@@ -134,7 +129,7 @@ let test_tags_distinct_and_stable () =
       | None -> Alcotest.failf "tag code %d not decodable" c)
     codes;
   Alcotest.(check bool) "0 is not a tag" true (Wire.Tag.of_int 0 = None);
-  Alcotest.(check bool) "18 is not a tag" true (Wire.Tag.of_int 18 = None)
+  Alcotest.(check bool) "16 is not a tag" true (Wire.Tag.of_int 16 = None)
 
 (* The point of batching on the wire: one frame carrying 16 blocks must be
    strictly smaller than 16 single-block frames, the same messages the
@@ -309,8 +304,6 @@ let gen_message =
         (fun ((rid, writes), carried_w) -> Wire.Batch_update { rid; writes; carried_w })
         (pair (pair (opt g_rid) g_triples) g_set);
       map (fun (rid, blocks) -> Wire.Batch_ack { rid; blocks }) (pair g_rid g_blocks);
-      map (fun (rid, blocks) -> Wire.Batch_request { rid; blocks }) (pair g_rid g_blocks);
-      map (fun (rid, payloads) -> Wire.Batch_transfer { rid; payloads }) (pair g_rid g_triples);
     ]
 
 let arb_message = QCheck.make ~print:Wire.describe gen_message

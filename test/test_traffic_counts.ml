@@ -299,7 +299,7 @@ let test_multicast_broadcast_unreachable_cost_one () =
    Remaining divergence per category, and why:
 
    - Block carriers (Block_update, Block_transfer, Vv_reply-with-updates,
-     Batch_update, Batch_transfer): within 15%.  The 512-byte payload
+     Batch_update): within 15%.  The 512-byte payload
      dominates both sides; the gap is the modeled 32-byte header vs the
      9-byte frame plus 1–2-byte varints.
 
@@ -333,7 +333,6 @@ let test_model_vs_measured_size () =
           w_of_source = set [ 0; 1; 2 ] };
       Wire.Batch_update
         { rid = Some 7; writes = [ (0, 2, Block.zero); (4, 5, Block.zero) ]; carried_w = set [ 1 ] };
-      Wire.Batch_transfer { rid = 8; payloads = [ (1, 1, Block.zero) ] };
     ]
   in
   let control =
@@ -349,7 +348,6 @@ let test_model_vs_measured_size () =
       Wire.Batch_vote_request { rid = 16; blocks = [ 0; 3; 5 ]; purpose = Net.Message.Read };
       Wire.Batch_vote_reply { rid = 16; votes = [ (0, 1); (3, 2) ]; weight = 1; group_size = 5 };
       Wire.Batch_ack { rid = 17; blocks = [ 0; 4 ] };
-      Wire.Batch_request { rid = 18; blocks = [ 1; 2; 3 ] };
     ]
   in
   let check_bounds ~tol m =

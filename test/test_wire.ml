@@ -32,8 +32,6 @@ let sample_messages =
     Wire.Batch_update
       { rid = Some 6; writes = [ (0, 2, Block.zero); (1, 1, Block.zero) ]; carried_w = set [ 0; 1 ] };
     Wire.Batch_ack { rid = 6; blocks = [ 0; 1 ] };
-    Wire.Batch_request { rid = 7; blocks = [ 0; 1 ] };
-    Wire.Batch_transfer { rid = 7; payloads = [ (0, 2, Block.zero); (1, 1, Block.zero) ] };
   ]
 
 let test_sizes_positive () =
@@ -46,8 +44,7 @@ let test_block_carriers_dominate () =
   (* Messages carrying block payloads must be at least a block big — the
      size model that makes the Section 5 byte remark meaningful. *)
   let carries_block = function
-    | Wire.Block_update _ | Wire.Block_transfer _ | Wire.Batch_update _ | Wire.Batch_transfer _ ->
-        true
+    | Wire.Block_update _ | Wire.Block_transfer _ | Wire.Batch_update _ -> true
     | Wire.Vv_reply { updates; _ } -> updates <> []
     | _ -> false
   in
@@ -98,9 +95,6 @@ let test_batch_categories_match_single_block () =
       (Wire.Batch_update { rid = None; writes = [ (0, 1, Block.zero) ]; carried_w = set [] },
        Net.Message.Block_update);
       (Wire.Batch_ack { rid = 1; blocks = [ 0 ] }, Net.Message.Write_ack);
-      (Wire.Batch_request { rid = 1; blocks = [ 0 ] }, Net.Message.Block_request);
-      (Wire.Batch_transfer { rid = 1; payloads = [ (0, 1, Block.zero) ] },
-       Net.Message.Block_transfer);
     ]
   in
   List.iter
