@@ -14,10 +14,9 @@
    it was sealed over.  Crucially, [write] does NOT reseal: payload and
    version land in the image/index and the checksum goes stale until an
    explicit [seal].  The durable layer seals at its commit points;
-   anything that bypasses the durable layer (a direct store write, a
-   byte fault injected into the image) is caught by verification until
-   re-blessed — which is exactly the quarantine discipline the media
-   chaos exercises.
+   anything that bypasses them (a byte fault injected into the image) is
+   caught by verification until verified data supersedes it — which is
+   exactly the quarantine discipline the media chaos exercises.
 
    Fault injection operates on actual image bytes ([flip_byte],
    [blit_suffix]), so torn writes and bitrot are byte-accurate: the
@@ -62,8 +61,6 @@ let check t k name =
   if k < 0 || k >= capacity t then
     invalid_arg (Printf.sprintf "Block_file.%s: block %d out of range" name k)
 
-let resident t k = t.offs.(k) >= 0
-
 (* Append a region for block [k] holding its current logical payload
    (the zero block).  Doubling growth keeps appends amortised O(1); the
    image only ever holds regions for blocks actually written or faulted,
@@ -106,11 +103,6 @@ let checksum_ok t k =
   check t k "checksum_ok";
   t.sums.(k) = seal_value t k
 
-let demote t k =
-  check t k "demote";
-  if t.offs.(k) >= 0 then Bytes.fill t.image t.offs.(k) Block.size '\000';
-  t.vers.(k) <- 0
-
 let reset t =
   t.used <- 0;
   for k = 0 to capacity t - 1 do
@@ -134,12 +126,3 @@ let blit_suffix t k ~from s =
   if String.length s <> Block.size then invalid_arg "Block_file.blit_suffix: payload size";
   ensure_resident t k;
   Bytes.blit_string s from t.image (t.offs.(k) + from) (Block.size - from)
-
-let block_equal a ka b kb =
-  let byte t k i =
-    if t.offs.(k) < 0 then '\000' else Bytes.unsafe_get t.image (t.offs.(k) + i)
-  in
-  let rec go i = i >= Block.size || (byte a ka i = byte b kb i && go (i + 1)) in
-  go 0
-
-let bytes_resident t = t.used

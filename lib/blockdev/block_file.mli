@@ -6,19 +6,17 @@
     non-resident and read as the zero block.  The index checksum is
     CRC-32 over the payload mixed with the version.
 
-    {b Sealing discipline}: {!write} and {!demote} update payload and
-    version but leave the index checksum stale; only {!seal} recomputes
-    it.  Callers that own the durability story (the two-phase journal in
-    {!Durable_store}) seal at commit points — everything else, including
-    byte-level fault injection, is caught by {!checksum_ok}. *)
+    {b Sealing discipline}: {!write} updates payload and version but
+    leaves the index checksum stale; only {!seal} recomputes it.  The
+    owner of the durability story (the two-phase journal in
+    {!Durable_store}, the only module of [blockdev] that uses this one)
+    seals at commit points — everything else, including byte-level fault
+    injection, is caught by {!checksum_ok}. *)
 
 type t
 
 val create : capacity:int -> t
 val capacity : t -> int
-
-val resident : t -> Block.id -> bool
-(** Whether the block has a region in the image. *)
 
 val read : t -> Block.id -> Block.t
 (** Current payload (the zero block when non-resident). *)
@@ -28,16 +26,13 @@ val version : t -> Block.id -> int
 val write : t -> Block.id -> Block.t -> version:int -> unit
 (** Store payload bytes and version.  Does {e not} reseal — see the
     sealing discipline above.  No version-regression policy here; that
-    is {!Store}'s contract. *)
+    is {!Durable_store}'s contract. *)
 
 val seal : t -> Block.id -> unit
 (** Recompute the index checksum from the current (payload, version). *)
 
 val checksum_ok : t -> Block.id -> bool
 (** Whether the sealed checksum matches the bytes in the image now. *)
-
-val demote : t -> Block.id -> unit
-(** Zero the payload and version (does not reseal). *)
 
 val reset : t -> unit
 (** Truncate the image and return every block to the fresh non-resident
@@ -50,9 +45,3 @@ val blit_suffix : t -> Block.id -> from:int -> string -> unit
 (** Overwrite bytes [[from, Block.size)] of the block's region with the
     same range of [s] (a torn in-place apply: the prefix of the new
     write landed, the suffix still holds pre-image bytes). *)
-
-val block_equal : t -> Block.id -> t -> Block.id -> bool
-(** Payload-byte equality across files, non-resident reading as zero. *)
-
-val bytes_resident : t -> int
-(** Bytes of the image currently holding block regions. *)

@@ -70,7 +70,6 @@ type intention =
 module B = Codec.Buf
 
 type t = {
-  store : Store.t;
   bf : Block_file.t;
   meta : (string, int list) Hashtbl.t;
   meta_defaults : (string, int list) Hashtbl.t;
@@ -165,10 +164,8 @@ let decode_journal j =
         | exception B.Bad _ -> None)
 
 let create ~capacity =
-  let store = Store.create ~capacity in
   {
-    store;
-    bf = Store.block_file store;
+    bf = Block_file.create ~capacity;
     meta = Hashtbl.create 7;
     meta_defaults = Hashtbl.create 7;
     journal = None;
@@ -178,8 +175,7 @@ let create ~capacity =
     counters = zero_counters ();
   }
 
-let store t = t.store
-let capacity t = Store.capacity t.store
+let capacity t = Block_file.capacity t.bf
 let counters t = t.counters
 let last_scrub t = t.last_scrub
 
@@ -188,22 +184,49 @@ let last_scrub t = t.last_scrub
    layer's commit points (see the sealing discipline in block_file.mli). *)
 let checksum_ok t k = Block_file.checksum_ok t.bf k
 
-let effective_version t k = if checksum_ok t k then Store.version t.store k else 0
+let version t k = Block_file.version t.bf k
 
-let effective_versions t =
+let effective_version t k = if checksum_ok t k then version t k else 0
+
+let vector t version_of =
   let v = Version_vector.create (capacity t) in
   for k = 0 to capacity t - 1 do
-    Version_vector.set v k (effective_version t k)
+    Version_vector.set v k (version_of t k)
   done;
   v
 
-let read_verified t k =
-  if checksum_ok t k then Some (Store.read t.store k, Store.version t.store k) else None
+let versions t = vector t version
+let effective_versions t = vector t effective_version
 
-let bless t k = Block_file.seal t.bf k
+let read_verified t k =
+  if checksum_ok t k then Some (Block_file.read t.bf k, version t k) else None
+
+let serve t k = if checksum_ok t k then (version t k, Block_file.read t.bf k) else (0, Block.zero)
+
+let verified_blocks_newer_than t v =
+  if Version_vector.length v <> capacity t then
+    invalid_arg "Durable_store.verified_blocks_newer_than: vector length mismatch";
+  let rec collect k acc =
+    if k < 0 then acc
+    else
+      let ver = version t k in
+      let acc =
+        if ver > Version_vector.get v k && checksum_ok t k then
+          (k, ver, Block_file.read t.bf k) :: acc
+        else acc
+      in
+      collect (k - 1) acc
+  in
+  collect (capacity t - 1) []
+
+(* Payload and version land unsealed; sealing is this module's commit
+   point (see the sealing discipline in block_file.mli). *)
+let install t k data ~version =
+  Block_file.write t.bf k data ~version;
+  Block_file.seal t.bf k
 
 let write t k data ~version =
-  let stored = Store.version t.store k in
+  let stored = Block_file.version t.bf k in
   if version < stored then begin
     if checksum_ok t k then
       invalid_arg
@@ -223,33 +246,33 @@ let write t k data ~version =
        replays a committed-but-torn apply and discards an uncommitted
        append, so the block write and its version update are atomic as a
        pair. *)
+    let prev_data = Block_file.read t.bf k in
     let j =
-      encode_intention
-        (Data { block = k; version; data; prev_version = stored; prev_data = Store.read t.store k })
+      encode_intention (Data { block = k; version; data; prev_version = stored; prev_data })
     in
     t.journal <- Some j;
     commit_journal t j;
-    Store.write t.store k data ~version;
-    Block_file.seal t.bf k;
+    install t k data ~version;
     if was_corrupt then t.counters.repaired_blocks <- t.counters.repaired_blocks + 1
   end
+
+let absorb t k data ~version =
+  let stored = Block_file.version t.bf k in
+  let installs = version > stored || (version = stored && not (checksum_ok t k)) in
+  if installs then write t k data ~version;
+  installs
 
 let apply_updates t updates =
   List.iter
     (fun (k, ver, data) ->
-      let stored = Store.version t.store k in
+      let stored = Block_file.version t.bf k in
       let corrupt = not (checksum_ok t k) in
       if ver > stored || (corrupt && ver = stored) then begin
-        Store.write t.store k data ~version:ver;
-        Block_file.seal t.bf k;
+        install t k data ~version:ver;
         if corrupt then t.counters.repaired_blocks <- t.counters.repaired_blocks + 1
       end
-      else if corrupt && ver < stored then
-        t.counters.refused_installs <- t.counters.refused_installs + 1)
+      else if corrupt then t.counters.refused_installs <- t.counters.refused_installs + 1)
     updates
-
-let verified_blocks_newer_than t v =
-  List.filter (fun (k, _, _) -> checksum_ok t k) (Store.blocks_newer_than t.store v)
 
 let set_meta t key value =
   let j = encode_intention (Meta { key; value; prev = Hashtbl.find_opt t.meta key }) in
@@ -271,7 +294,7 @@ let set_meta_default t key value =
    digest; the second flip only fires when the first undid a previous
    injection at the same (block, version) position. *)
 let corrupt_in_place t k =
-  let v = Store.version t.store k in
+  let v = Block_file.version t.bf k in
   let pos = (k * 131 + v * 31) mod Block.size in
   Block_file.flip_byte t.bf k ~pos ~mask:0xA5;
   if checksum_ok t k then Block_file.flip_byte t.bf k ~pos:((pos + 1) mod Block.size) ~mask:0x3C
@@ -313,9 +336,7 @@ let crash t =
          fail to decode it and discard. *)
       match decode_journal j with
       | Some (Data { block; prev_version; prev_data; _ }, _) ->
-          Store.demote t.store block;
-          Store.write t.store block prev_data ~version:prev_version;
-          Block_file.seal t.bf block;
+          install t block prev_data ~version:prev_version;
           t.journal <- Some (tear_journal_bytes j);
           t.counters.torn_writes <- t.counters.torn_writes + 1
       | Some (Meta { key; prev; _ }, _) ->
@@ -335,10 +356,9 @@ let scrub t =
   | Some j -> (
       match decode_journal j with
       | Some (Data { block; version; data; _ }, true)
-        when Store.version t.store block = version && not (checksum_ok t block) ->
+        when Block_file.version t.bf block = version && not (checksum_ok t block) ->
           (* Committed intention whose apply was torn: replay it exactly. *)
-          Store.write t.store block data ~version;
-          Block_file.seal t.bf block;
+          install t block data ~version;
           incr replayed
       | Some (_, false) | None ->
           (* Uncommitted or unreadable (torn append): drop it. *)
@@ -381,10 +401,3 @@ let replace_disk t =
   t.torn_meta <- None;
   t.counters.disk_replacements <- t.counters.disk_replacements + 1
 
-let rebless t =
-  for k = 0 to capacity t - 1 do
-    bless t k
-  done;
-  t.journal <- None;
-  t.armed <- None;
-  t.torn_meta <- None

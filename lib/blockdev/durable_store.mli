@@ -1,11 +1,15 @@
-(** Crash-faithful stable storage over {!Store}.
+(** A site's disk: its block copies and their version numbers, with the
+    honest failure model the protocols must actually survive.
 
-    {!Store} is an ideal disk.  This layer wraps it with the honest model
-    the protocols must actually survive:
+    Payloads are real bytes in a {!Block_file} image with an (offset,
+    length, version, checksum) index.  The disk survives site failures (a
+    failed site that repairs still has its — possibly stale — blocks and
+    versions), which is why recovery only transfers the blocks modified
+    during the outage.  On top of that ideal disk this module keeps:
 
     - {b per-block CRC-32 checksums} over the (payload bytes, version)
       pair, kept in the {!Block_file} index and sealed only at this
-      layer's commit points, so rotten or torn bytes are detected
+      module's commit points, so rotten or torn bytes are detected
       instead of served;
     - {b a two-phase intention journal} making a block write and its
       version update crash-atomic as a pair: the intention is serialized
@@ -23,9 +27,12 @@
       ({!inject_bitrot}), and whole-disk replacement ({!replace_disk},
       the paper's fresh-replica regeneration case).
 
+    No unverified byte leaves this module: every function that returns
+    block contents returns only checksum-valid ones.
+
     {b Quarantine discipline.}  A checksum-invalid block is {e quarantined}:
-    its {!effective_version} is 0 (it claims nothing, votes nothing, and is
-    never transferred to a peer), but its stored version number remains
+    its {!effective_version} is 0 (it serves nothing, votes 0 on reads, and
+    is never transferred to a peer), but its stored {!version} remains
     trustworthy — sector decay corrupts data bytes, not the separately
     journaled version table — and acts as a floor: the block only accepts
     verified replacement data at a version [>=] the stored one, so a
@@ -34,9 +41,8 @@
     {!counters}) and the block stays quarantined until a current peer or a
     fresh write supersedes it.
 
-    With no faults injected the layer is pass-through: every write goes
-    straight to the store with a matching checksum, and behaviour is
-    bit-identical to using {!Store} directly. *)
+    With no faults injected every checksum verifies, so the checked
+    accessors return exactly what was written. *)
 
 type t
 
@@ -84,42 +90,67 @@ type scrub_report = {
 
 val create : capacity:int -> t
 (** A fresh durable store over a blank disk: zeroed blocks at version 0,
-    all checksums valid. *)
-
-val store : t -> Store.t
-(** The underlying ideal store.  Reads through it are unchecked; writers
-    must go through {!write}/{!apply_updates} or the checksums go stale. *)
+    all checksums valid.  Raises [Invalid_argument] unless [capacity] is
+    positive. *)
 
 val capacity : t -> int
 
-(** {1 Checked access} *)
+(** {1 Versions}
+
+    Every accessor taking a block id raises [Invalid_argument] out of
+    range. *)
+
+val version : t -> Block.id -> int
+(** The stored version: a verified block's version, and a quarantined
+    block's floor. *)
+
+val versions : t -> Version_vector.t
+(** A fresh copy of the stored version vector. *)
 
 val checksum_ok : t -> Block.id -> bool
+
 val effective_version : t -> Block.id -> int
 (** The stored version when the checksum is valid, 0 otherwise. *)
 
 val effective_versions : t -> Version_vector.t
 
+(** {1 Checked contents} *)
+
 val read_verified : t -> Block.id -> (Block.t * int) option
 (** Contents and version, or [None] when quarantined. *)
 
-val write : t -> Block.id -> Block.t -> version:int -> unit
-(** Journalled write (intention append + commit + apply).  Raises
-    [Invalid_argument] on a version regression over a {e verified} block,
-    exactly like {!Store.write}; over a quarantined block a below-floor
-    version is refused silently (counted) and an at-or-above-floor version
-    heals the block. *)
-
-val apply_updates : t -> (Block.id * int * Block.t) list -> unit
-(** Install a recovery transfer set of {e verified peer data}: strictly
-    newer entries install as in {!Store.apply_updates}, and an entry at a
-    quarantined block's exact version floor repairs it in place.  Not
-    journalled — a crash mid-recovery leaves the site failed and the next
-    recovery re-runs the exchange. *)
+val serve : t -> Block.id -> int * Block.t
+(** What this disk may answer a peer's block request with: the effective
+    version and its verified contents, or [(0, Block.zero)] when the block
+    is quarantined — a copy that can prove nothing claims nothing. *)
 
 val verified_blocks_newer_than : t -> Version_vector.t -> (Block.id * int * Block.t) list
-(** {!Store.blocks_newer_than} restricted to checksum-valid blocks: a
-    transfer never ships quarantined bytes to a peer. *)
+(** [(id, version, contents)] for every checksum-valid block whose stored
+    version is strictly newer than in the vector, in ascending id order:
+    the transfer set of a recovery exchange.  A transfer never ships
+    quarantined bytes to a peer.  Raises [Invalid_argument] when the
+    vector's length is not the capacity. *)
+
+(** {1 Installs} *)
+
+val write : t -> Block.id -> Block.t -> version:int -> unit
+(** Journalled write (intention append + commit + apply).  Raises
+    [Invalid_argument] on a version regression over a {e verified} block
+    (an equal version is allowed and re-installs); over a quarantined block
+    a below-floor version is refused silently (counted) and an
+    at-or-above-floor version heals the block. *)
+
+val absorb : t -> Block.id -> Block.t -> version:int -> bool
+(** The replica rule for an offered copy (a peer's update, a pulled
+    transfer, a read-repair reply): a journalled {!write} iff the offer is
+    newer than the stored version, or reaches a quarantined block's floor.  Returns whether it
+    installed; never raises on a stale offer and never lowers a version. *)
+
+val apply_updates : t -> (Block.id * int * Block.t) list -> unit
+(** Install a recovery transfer set of {e verified peer data} entry by
+    entry under the {!absorb} rule.  Not journalled — a crash
+    mid-recovery leaves the site failed and the next recovery re-runs the
+    exchange. *)
 
 (** {1 Journaled metadata} *)
 
@@ -167,11 +198,6 @@ val scrub : t -> scrub_report
     blocks left for peer transfer to heal. *)
 
 val last_scrub : t -> scrub_report option
-
-val rebless : t -> unit
-(** Recompute every checksum from the current store contents and clear the
-    journal — for checkpoint restore, which rebuilds stores directly and
-    by construction restores only verified state. *)
 
 val counters : t -> counters
 (** Live counters for this store (shared, not a snapshot). *)

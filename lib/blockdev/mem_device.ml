@@ -17,7 +17,7 @@ let read_block t k =
 let write_block t k b =
   if (not t.alive) || k < 0 || k >= capacity t then false
   else begin
-    let version = Store.version (Durable_store.store t.durable) k + 1 in
+    let version = Durable_store.version t.durable k + 1 in
     Durable_store.write t.durable k b ~version;
     true
   end

@@ -1,7 +1,6 @@
 module Types = Blockrep.Types
 module Cluster = Blockrep.Cluster
 module Runtime = Blockrep.Runtime
-module Store = Blockdev.Store
 module Prng = Util.Prng
 
 type fault =
@@ -583,7 +582,7 @@ let covered_elsewhere cluster ~victim ~block ~version =
   check 0
 
 let stored_version cluster s block =
-  Store.version (Runtime.site (Cluster.runtime cluster) s).Runtime.store block
+  Blockdev.Durable_store.version (Runtime.site (Cluster.runtime cluster) s).Runtime.durable block
 
 (* The chaos filter in front of [apply]: crash and repair events only
    act on a site in the matching state, and media faults only where they

@@ -1,6 +1,5 @@
 module Types = Blockrep.Types
 module Runtime = Blockrep.Runtime
-module Store = Blockdev.Store
 module Durable = Blockdev.Durable_store
 module Vv = Blockdev.Version_vector
 
@@ -11,9 +10,6 @@ module Vv = Blockdev.Version_vector
    (the version table is journaled separately from the data bytes), so the
    dominance and closure checks keep using stored vectors. *)
 let effective (s : Runtime.site) block = Durable.effective_version s.durable block
-
-let global_max sites block =
-  Array.fold_left (fun acc (s : Runtime.site) -> Int.max acc (effective s block)) 0 sites
 
 (* Maximal groups of mutually reachable sites (singleton groups for
    isolated sites).  With no partition installed this is one group. *)
@@ -43,7 +39,7 @@ let scan_copy cluster ~add =
   let comatose = Array.to_list sites |> List.filter (fun (s : Runtime.site) -> s.state = Types.Comatose) in
   (* 1. Every available site is current everywhere, and current copies agree. *)
   for block = 0 to n_blocks - 1 do
-    let gm = global_max sites block in
+    let gm = Runtime.newest_version rt block in
     List.iter
       (fun (s : Runtime.site) ->
         (* A quarantined copy is excused from the staleness check: it
@@ -84,7 +80,7 @@ let scan_copy cluster ~add =
     (fun (a : Runtime.site) ->
       List.iter
         (fun (c : Runtime.site) ->
-          let va = Store.versions a.store and vc = Store.versions c.store in
+          let va = Durable.versions a.durable and vc = Durable.versions c.durable in
           if not (Vv.dominates va vc) then begin
             let block = ref (-1) in
             for b = n_blocks - 1 downto 0 do
@@ -107,7 +103,7 @@ let scan_copy cluster ~add =
     (fun (s : Runtime.site) ->
       let closure = Blockrep.Closure.compute ~self:s.id ~own:s.w ~known:w_of in
       for block = 0 to n_blocks - 1 do
-        let gm = global_max sites block in
+        let gm = Runtime.newest_version rt block in
         let reaches_current =
           (* Verified copies only: a quarantined gm-holder cannot be
              transferred from, so it does not plug a closure gap. *)
@@ -127,13 +123,12 @@ let scan_copy cluster ~add =
 
 let scan_quorum cluster ~add =
   let rt = Blockrep.Cluster.runtime cluster in
-  let sites = Runtime.sites rt in
   let n_sites = Blockrep.Cluster.n_sites cluster in
   let n_blocks = Blockrep.Cluster.n_blocks cluster in
   let net = Blockrep.Cluster.network cluster in
   let check_group label group =
     for block = 0 to n_blocks - 1 do
-      let gm = global_max sites block in
+      let gm = Runtime.newest_version rt block in
       let known_up =
         List.exists
           (fun i ->

@@ -1,4 +1,4 @@
-module Store = Blockdev.Store
+module Durable = Blockdev.Durable_store
 module Block = Blockdev.Block
 module Int_set = Types.Int_set
 
@@ -35,14 +35,32 @@ let read_u32 ic =
 let read_char ic =
   match input_char ic with exception End_of_file -> Error "truncated checkpoint" | c -> Ok c
 
+(* The first (site, block) whose copy is quarantined, in site order. *)
+let first_quarantined rt n_blocks =
+  Array.to_list (Runtime.sites rt)
+  |> List.find_map (fun (s : Runtime.site) ->
+         List.init n_blocks Fun.id
+         |> List.find_opt (fun k -> not (Durable.checksum_ok s.Runtime.durable k))
+         |> Option.map (fun k -> (s.Runtime.id, k)))
+
 let save cluster path =
   let rt = Cluster.runtime cluster in
   let config = Cluster.config cluster in
-  if config.Config.scheme = Types.Dynamic_voting then
-    (* The dynamic scheme keeps per-block group records outside the store;
-       checkpointing it is not supported yet. *)
-    Error "checkpointing a dynamic-voting cluster is not supported"
-  else
+  let* () =
+    if config.Config.scheme = Types.Dynamic_voting then
+      (* The dynamic scheme keeps per-block group records outside the store;
+         checkpointing it is not supported yet. *)
+      Error "checkpointing a dynamic-voting cluster is not supported"
+    else
+      (* Restore seals everything it installs, so a quarantined copy would
+         come back verified: only verified state may be saved. *)
+      match first_quarantined rt config.Config.n_blocks with
+      | Some (site, block) ->
+          Error
+            (Printf.sprintf "site %d holds a quarantined copy of block %d; repair it before saving"
+               site block)
+      | None -> Ok ()
+  in
   match open_out_bin path with
   | exception Sys_error msg -> Error msg
   | oc ->
@@ -59,8 +77,9 @@ let save cluster path =
               write_u32 oc (Int_set.cardinal s.Runtime.w);
               Int_set.iter (write_u32 oc) s.Runtime.w;
               for k = 0 to config.Config.n_blocks - 1 do
-                write_u32 oc (Store.version s.Runtime.store k);
-                output_string oc (Block.to_string (Store.read s.Runtime.store k))
+                let version, data = Durable.serve s.Runtime.durable k in
+                write_u32 oc version;
+                output_string oc (Block.to_string data)
               done)
             (Runtime.sites rt);
           Ok ())
@@ -93,7 +112,7 @@ let restore cluster path =
                 Array.for_all
                   (fun (s : Runtime.site) ->
                     let rec all_zero k =
-                      k >= n_blocks || (Store.version s.Runtime.store k = 0 && all_zero (k + 1))
+                      k >= n_blocks || (Durable.version s.Runtime.durable k = 0 && all_zero (k + 1))
                     in
                     all_zero 0)
                   (Runtime.sites rt)
@@ -118,21 +137,18 @@ let restore cluster path =
                         read_w (k - 1) (Int_set.add v acc)
                     in
                     let* w = read_w w_count Int_set.empty in
-                    let rec read_blocks k =
-                      if k >= n_blocks then Ok ()
+                    let rec read_blocks k acc =
+                      if k >= n_blocks then Ok acc
                       else
                         let* version = read_u32 ic in
                         match really_input_string ic Block.size with
                         | exception End_of_file -> Error "truncated checkpoint"
-                        | raw ->
-                            if version > 0 then Store.write s.Runtime.store k (Block.of_string raw) ~version;
-                            read_blocks (k + 1)
+                        | raw -> read_blocks (k + 1) ((k, version, Block.of_string raw) :: acc)
                     in
-                    let* () = read_blocks 0 in
-                    (* Blocks were installed behind the durable layer's back;
-                       re-bless so checksums cover the restored contents, then
-                       route W through set_w so the on-disk record matches. *)
-                    Blockdev.Durable_store.rebless s.Runtime.durable;
+                    let* blocks = read_blocks 0 [] in
+                    (* The fresh disk takes every saved copy as verified data;
+                       W goes through set_w so the on-disk record matches. *)
+                    Durable.apply_updates s.Runtime.durable blocks;
                     Runtime.set_w rt i w;
                     Runtime.Transport.set_up (Runtime.net rt) i (state <> Types.Failed);
                     Runtime.set_state rt i state;

@@ -13,7 +13,9 @@
     refused (version numbers may never regress). *)
 
 val save : Cluster.t -> string -> (unit, string) result
-(** Write the cluster's durable state to a file. *)
+(** Write the cluster's durable state to a file.  Refuses, naming the
+    first quarantined (site, block), while any copy is quarantined:
+    {!restore} installs every saved copy as verified data. *)
 
 val restore : Cluster.t -> string -> (unit, string) result
 (** Load a checkpoint into a fresh, identically-configured cluster.

@@ -180,9 +180,7 @@ let read t ?deadline ~site ~block callback =
          admission spillover (there is no primary to fall back on). *)
       let hedge_read ~peer ~miss =
         t.hedged <- t.hedged + 1;
-        let version_floor =
-          Blockdev.Store.version (Runtime.site t.rt site).Runtime.store block
-        in
+        let version_floor = Durable.version (Runtime.site t.rt site).Runtime.durable block in
         protocol_read t ?deadline ~site:peer ~block (function
           | Ok (data, version) when version >= version_floor ->
               if not !settled then begin
@@ -410,7 +408,7 @@ let flood_site t i ~count =
 let read_latency t = t.read_lat
 
 let site_state t i = (Runtime.site t.rt i).state
-let site_versions t i = Blockdev.Store.versions (Runtime.site t.rt i).store
+let site_versions t i = Durable.versions (Runtime.site t.rt i).durable
 let site_was_available t i = (Runtime.site t.rt i).w
 
 let system_available t = system_available_rt t.protocol
@@ -420,33 +418,34 @@ let settle t = Sim.Engine.run (engine t)
 
 let consistent_available_stores t =
   match t.protocol with
-  | Dynamic_p d ->
-      (* Whenever the dynamic service predicate holds, some up site holds
-         a verified copy of the globally newest provable version of every
-         block (quorum checks then find it).  Effective versions: a
+  | Voting_p _ | Dynamic_p _ ->
+      (* Quorum-intersection safety: whenever the scheme can serve — a read
+         quorum's weight is up (voting), or the dynamic service predicate
+         holds — some up site holds a verified copy of the globally newest
+         provable version of every block.  Effective versions: a
          quarantined copy claims nothing. *)
-      if not (Dynamic_voting.service_available d) then true
-      else begin
-        let sites = Runtime.sites t.rt in
-        let ok = ref true in
-        for block = 0 to n_blocks t - 1 do
-          let global_max =
-            Array.fold_left
-              (fun acc (s : Runtime.site) ->
-                Int.max acc (Durable.effective_version s.durable block))
-              0 sites
-          in
-          let held_up =
-            Array.exists
-              (fun (s : Runtime.site) ->
-                s.state = Types.Available
-                && Durable.effective_version s.durable block = global_max)
-              sites
-          in
-          if not held_up then ok := false
-        done;
-        !ok
-      end
+      let up =
+        Array.to_list (Runtime.sites t.rt)
+        |> List.filter (fun (s : Runtime.site) -> s.state = Types.Available)
+      in
+      let serving =
+        match t.protocol with
+        | Dynamic_p d -> Dynamic_voting.service_available d
+        | Voting_p _ | Copy_p _ ->
+            let quorum = (config t).quorum in
+            Quorum.read_quorum_met quorum
+              (Quorum.weight_of quorum (List.map (fun (s : Runtime.site) -> s.id) up))
+      in
+      let rec newest_held_up block =
+        block >= n_blocks t
+        ||
+        let newest = Runtime.newest_version t.rt block in
+        List.exists
+          (fun (s : Runtime.site) -> Durable.effective_version s.durable block = newest)
+          up
+        && newest_held_up (block + 1)
+      in
+      (not serving) || newest_held_up 0
   | Copy_p _ ->
       (* Every pair of verified copies at available sites must agree; a
          quarantined copy is excused — it refuses to serve rather than
@@ -467,30 +466,3 @@ let consistent_available_stores t =
               ok := false
       done;
       !ok
-  | Voting_p _ ->
-      (* Quorum-intersection safety: whenever enough weight is up to form a
-         read quorum, some up site holds a verified copy of the globally
-         newest provable version of every block. *)
-      let quorum = (config t).quorum in
-      let sites = Runtime.sites t.rt in
-      let up = Array.to_list sites |> List.filter (fun (s : Runtime.site) -> s.state = Types.Available) in
-      let up_weight = Quorum.weight_of quorum (List.map (fun (s : Runtime.site) -> s.id) up) in
-      if not (Quorum.read_quorum_met quorum up_weight) then true
-      else begin
-        let ok = ref true in
-        for block = 0 to n_blocks t - 1 do
-          let global_max =
-            Array.fold_left
-              (fun acc (s : Runtime.site) ->
-                Int.max acc (Durable.effective_version s.durable block))
-              0 sites
-          in
-          let held_up =
-            List.exists
-              (fun (s : Runtime.site) -> Durable.effective_version s.durable block = global_max)
-              up
-          in
-          if not held_up then ok := false
-        done;
-        !ok
-      end

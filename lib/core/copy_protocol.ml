@@ -1,5 +1,4 @@
 module Int_set = Types.Int_set
-module Store = Blockdev.Store
 module Durable = Blockdev.Durable_store
 module Vv = Blockdev.Version_vector
 
@@ -10,15 +9,6 @@ type t = { rt : Runtime.t; variant : variant }
 let variant t = t.variant
 
 let full_set t = Int_set.of_list (List.init (Runtime.n_sites t.rt) Fun.id)
-
-(* Install an update carrying verified peer data: strictly newer versions
-   install as always, and data at (or above) a quarantined block's version
-   floor repairs it in place. *)
-let absorb (s : Runtime.site) block version data =
-  if
-    version > Store.version s.store block
-    || ((not (Durable.checksum_ok s.durable block)) && version >= Store.version s.store block)
-  then Durable.write s.durable block data ~version
 
 (* ------------------------------------------------------------------ *)
 (* Data access                                                         *)
@@ -31,7 +21,7 @@ let absorb (s : Runtime.site) block version data =
    this disk must not regress — so a repaired read can never be stale. *)
 let read_repair t ?deadline ~site ~block callback =
   let s = Runtime.site t.rt site in
-  let floor_version = Store.version s.store block in
+  let floor_version = Durable.version s.durable block in
   if Int_set.is_empty (Runtime.peers_matching t.rt site (fun p -> p.state = Types.Available))
   then
     if floor_version = 0 then begin
@@ -63,9 +53,14 @@ let read_repair t ?deadline ~site ~block callback =
                   None replies
               in
               match best with
-              | Some (data, version) ->
-                  Durable.write s.durable block data ~version;
-                  callback (Ok (data, version))
+              | Some (data, version) -> (
+                  (* A newer write may have landed while the round was out:
+                     install under the replica rule, then serve what the
+                     local copy now verifiably holds. *)
+                  ignore (Durable.absorb s.durable block data ~version : bool);
+                  match Durable.read_verified s.durable block with
+                  | Some copy -> callback (Ok copy)
+                  | None -> callback (Error Types.Current_copy_unreachable))
               | None -> callback (Error Types.Current_copy_unreachable)))
     in
     Int_set.iter
@@ -78,11 +73,13 @@ let read_repair t ?deadline ~site ~block callback =
 let read t ?deadline ~site ~block callback =
   let s = Runtime.site t.rt site in
   if s.state <> Types.Available then callback (Error Types.Site_not_available)
-  else if Durable.checksum_ok s.durable block then
-    (* Serving locally issues no sub-request, so an expired deadline does
-       not block it — the caller classifies lateness. *)
-    callback (Ok (Store.read s.store block, Store.version s.store block))
-  else read_repair t ?deadline ~site ~block callback
+  else
+    match Durable.read_verified s.durable block with
+    | Some copy ->
+        (* Serving locally issues no sub-request, so an expired deadline
+           does not block it — the caller classifies lateness. *)
+        callback (Ok copy)
+    | None -> read_repair t ?deadline ~site ~block callback
 
 (* The Standard ack round of [write] and [write_batch]: open a round
    awaiting the available peers' acks and return its id for the caller's
@@ -127,7 +124,7 @@ let write t ?deadline ~site ~block data callback =
   if s.state <> Types.Available then callback (Error Types.Site_not_available)
   else if Runtime.past_deadline t.rt deadline then callback (Error Types.Timed_out)
   else begin
-    let version = Store.version s.store block + 1 in
+    let version = Durable.version s.durable block + 1 in
     Durable.write s.durable block data ~version;
     match t.variant with
     | Naive ->
@@ -160,7 +157,7 @@ let write_batch t ?deadline ~site writes callback =
     let payloads =
       List.map
         (fun (block, data) ->
-          let version = Store.version s.store block + 1 in
+          let version = Durable.version s.durable block + 1 in
           Durable.write s.durable block data ~version;
           (block, version, data))
         writes
@@ -243,7 +240,7 @@ and repair_from t (s : Runtime.site) source =
                    our stored versions must dominate it — a quarantined
                    block that refused a below-floor offer still holds a
                    stored version above what was offered. *)
-                assert (Vv.dominates (Store.versions s.store) versions);
+                assert (Vv.dominates (Durable.versions s.durable) versions);
                 if t.variant = Standard then
                   Runtime.set_w t.rt s.id (Int_set.add s.id w_of_source);
                 become_available t s
@@ -289,7 +286,7 @@ and evaluate t (s : Runtime.site) =
         let closure = Closure.compute ~self:s.id ~own ~known in
         let recovered u = u = s.id || (operational_in_cache s u && live u) in
         if Int_set.for_all recovered closure then begin
-          let my_versions = Store.versions s.store in
+          let my_versions = Durable.versions s.durable in
           let best =
             Int_set.fold
               (fun u ((_, best_vv) as acc) ->
@@ -342,7 +339,7 @@ let handle t (s : Runtime.site) ~from msg =
          recovering with a copy staler than the one the writer believes it
          holds.  Only available sites acknowledge and learn W: a comatose
          site is not yet part of any write's was-available set. *)
-      if s.state <> Types.Failed then absorb s block version data;
+      if s.state <> Types.Failed then ignore (Durable.absorb s.durable block data ~version : bool);
       if s.state = Types.Available && t.variant = Standard then begin
         Runtime.set_w t.rt s.id (Int_set.add s.id (Int_set.add from carried_w));
         match rid with
@@ -354,7 +351,9 @@ let handle t (s : Runtime.site) ~from msg =
   | Wire.Batch_update { rid; writes; carried_w } ->
       (* Same absorption rule as Block_update, applied per block. *)
       if s.state <> Types.Failed then
-        List.iter (fun (block, version, data) -> absorb s block version data) writes;
+        List.iter
+          (fun (block, version, data) -> ignore (Durable.absorb s.durable block data ~version : bool))
+          writes;
       if s.state = Types.Available && t.variant = Standard then begin
         Runtime.set_w t.rt s.id (Int_set.add s.id (Int_set.add from carried_w));
         match rid with
@@ -403,8 +402,8 @@ let handle t (s : Runtime.site) ~from msg =
            numbers.  A repair that finds no current peer leaves the block
            quarantined and the reply simply cannot cover it. *)
         let needy = ref [] in
-        for b = Store.capacity s.store - 1 downto 0 do
-          if (not (Durable.checksum_ok s.durable b)) && Store.version s.store b > Vv.get versions b
+        for b = Durable.capacity s.durable - 1 downto 0 do
+          if (not (Durable.checksum_ok s.durable b)) && Durable.version s.durable b > Vv.get versions b
           then needy := b :: !needy
         done;
         (* The repair rounds park this handler's continuation behind wire
@@ -428,8 +427,7 @@ let handle t (s : Runtime.site) ~from msg =
          and its verified contents, or (0, zero) when our own copy is
          quarantined.  The requester discards unhelpful replies. *)
       if s.state <> Types.Failed then begin
-        let version = Durable.effective_version s.durable block in
-        let data = if version = 0 then Blockdev.Block.zero else Store.read s.store block in
+        let version, data = Durable.serve s.durable block in
         Runtime.send t.rt ~op:Net.Message.Repair ~from:s.id ~dst:from
           (Wire.Block_transfer { rid; block; version; data })
       end

@@ -1,5 +1,4 @@
 module Int_set = Types.Int_set
-module Store = Blockdev.Store
 module Durable = Blockdev.Durable_store
 
 type t = {
@@ -30,10 +29,10 @@ let vote_of_reply block = function
       Some (from, version, group_size)
   | _ -> None
 
-(* Votes carry the effective version: a quarantined copy claims 0. *)
-let local_vote t site block =
-  let s = Runtime.site t.rt site in
-  (site, Durable.effective_version s.Runtime.durable block, Int_set.cardinal t.groups.(site).(block))
+let local_vote t site block purpose =
+  ( site,
+    Runtime.vote_version (Runtime.site t.rt site) purpose block,
+    Int_set.cardinal t.groups.(site).(block) )
 
 let coordinator_alive t site = (Runtime.site t.rt site).Runtime.state = Types.Available
 
@@ -75,20 +74,15 @@ let collect_votes ?deadline t ~site ~block ~purpose ~k =
         | Runtime.Aborted -> k None
         | Runtime.Complete | Runtime.Timeout ->
             if not (coordinator_alive t site) then k None
-            else k (Some (local_vote t site block :: List.filter_map (vote_of_reply block) replies)))
+            else
+              let remote = List.filter_map (vote_of_reply block) replies in
+              k (Some (local_vote t site block purpose :: remote)))
   in
   Runtime.broadcast t.rt ~op:purpose ~from:site (Wire.Vote_request { rid; block; purpose })
 
 let apply_update t site block data ~version ~group =
-  let s = Runtime.site t.rt site in
-  if
-    version > Store.version s.Runtime.store block
-    || ((not (Durable.checksum_ok s.Runtime.durable block))
-       && version >= Store.version s.Runtime.store block)
-  then begin
-    Durable.write s.Runtime.durable block data ~version;
+  if Durable.absorb (Runtime.site t.rt site).Runtime.durable block data ~version then
     set_group t site block group
-  end
 
 (* Version-based quorum checks can fail transiently while an update is
    still propagating (only the writer holds the top version for one
@@ -145,52 +139,22 @@ let read_attempt t ?deadline ~site ~block callback =
                      it, so it is not issued. *)
                   callback (Error Types.Timed_out)
               | _ ->
-              begin
-                (* Pull from the lowest-id current holder (deterministic). *)
-                let source =
-                  List.fold_left (fun acc (i, _, _) -> Int.min acc i) max_int
-                    (List.filter (fun (i, _, _) -> i <> site) holders)
-                in
-                let rid =
-                  Runtime.begin_round ?deadline t.rt ~coordinator:site
-                    ~expected:(Int_set.singleton source)
-                    ~on_complete:(fun outcome replies ->
-                      if not (coordinator_alive t site) then callback (Error Types.Site_not_available)
-                      else
-                        match
-                          ( outcome,
-                            List.find_map
-                              (function
-                                | _, Wire.Block_transfer { block = b; version; data; _ } when b = block
-                                  ->
-                                    Some (version, data)
-                                | _ -> None)
-                              replies )
-                        with
-                        | (Runtime.Complete | Runtime.Timeout), Some (version, data)
-                          when version >= top_version ->
-                            (* Install the data but keep our group record:
-                               a pulled copy does not make us a member of
-                               the holder's group, and a conservative
-                               (over-large) recorded cardinality can only
-                               make later quorum tests stricter, never
-                               unsafe.  A transfer below the voted version
-                               (the holder's copy rotted in between) is
-                               rejected above, like a timeout. *)
-                            if
-                              version > Store.version s.Runtime.store block
-                              || ((not (Durable.checksum_ok s.Runtime.durable block))
-                                 && version >= Store.version s.Runtime.store block)
-                            then Durable.write s.Runtime.durable block data ~version;
-                            callback (Ok (data, version))
-                        | (Runtime.Complete | Runtime.Timeout), Some _
-                        | _, None
-                        | Runtime.Aborted, _ ->
-                            callback (Error Types.Timed_out))
-                in
-                Runtime.send t.rt ~op:Net.Message.Read ~from:site ~dst:source
-                  (Wire.Block_request { rid; block })
-              end)))
+                  (* Pull from the lowest-id current holder (deterministic). *)
+                  let source =
+                    List.fold_left (fun acc (i, _, _) -> Int.min acc i) max_int
+                      (List.filter (fun (i, _, _) -> i <> site) holders)
+                  in
+                  Runtime.fetch ?deadline t.rt ~site ~block ~source ~min_version:top_version
+                    (function
+                    | Ok (data, version) as served ->
+                        (* Install the data but keep our group record: a
+                           pulled copy does not make us a member of the
+                           holder's group, and a conservative (over-large)
+                           recorded cardinality can only make later quorum
+                           tests stricter, never unsafe. *)
+                        ignore (Durable.absorb s.Runtime.durable block data ~version : bool);
+                        callback served
+                    | Error _ as failed -> callback failed))))
 
 let read t ?deadline ~site ~block callback =
   with_retry t ?deadline ~site (fun k -> read_attempt t ?deadline ~site ~block k) callback
@@ -259,7 +223,7 @@ let handle t (s : Runtime.site) ~from msg =
            {
              rid;
              block;
-             version = Durable.effective_version s.Runtime.durable block;
+             version = Runtime.vote_version s purpose block;
              weight = 1;
              group_size = Int_set.cardinal t.groups.(s.Runtime.id).(block);
            })
@@ -283,12 +247,9 @@ let handle t (s : Runtime.site) ~from msg =
         && Durable.effective_version s.Runtime.durable block = version
       then set_group t s.Runtime.id block group
   | Wire.Block_request { rid; block } ->
-      (* A quarantined copy serves (0, zero) — it can prove nothing — and
-         the requester rejects the transfer against the voted version. *)
-      let version = Durable.effective_version s.Runtime.durable block in
-      let data =
-        if version = 0 then Blockdev.Block.zero else Store.read s.Runtime.store block
-      in
+      (* A quarantined copy serves (0, zero), which the requester rejects
+         against the voted version. *)
+      let version, data = Durable.serve s.Runtime.durable block in
       Runtime.send t.rt ~op:Net.Message.Read ~from:s.Runtime.id ~dst:from
         (Wire.Block_transfer { rid; block; version; data })
   | Wire.Vote_reply { rid; _ } | Wire.Block_transfer { rid; _ } | Wire.Write_ack { rid; _ } ->

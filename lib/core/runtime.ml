@@ -1,10 +1,10 @@
 module Transport = Net.Network.Make (Wire)
 module Int_set = Types.Int_set
+module Durable = Blockdev.Durable_store
 
 type site = {
   id : int;
-  durable : Blockdev.Durable_store.t;
-  store : Blockdev.Store.t;
+  durable : Durable.t;
   mutable state : Types.site_state;
   mutable w : Types.Int_set.t;
   cache : Wire.site_info option array;
@@ -89,13 +89,12 @@ let create (config : Config.t) =
           if dst <> from then Breaker.record_failure m.(dst).(from))
   | None -> ());
   let make_site id =
-    let durable = Blockdev.Durable_store.create ~capacity:config.n_blocks in
+    let durable = Durable.create ~capacity:config.n_blocks in
     let everyone = List.init config.n_sites Fun.id in
-    Blockdev.Durable_store.set_meta_default durable w_meta_key everyone;
+    Durable.set_meta_default durable w_meta_key everyone;
     {
       id;
       durable;
-      store = Blockdev.Durable_store.store durable;
       state = Types.Available;
       (* Everyone holds version 0 of every block, so initially every site
          "received the most recent write". *)
@@ -162,7 +161,7 @@ let make_info t i =
   {
     Wire.origin = i;
     state = s.state;
-    versions = Blockdev.Store.versions s.store;
+    versions = Durable.versions s.durable;
     was_available = s.w;
   }
 
@@ -267,12 +266,12 @@ let abort_rounds_of t coordinator =
 let set_w t i w =
   let s = site t i in
   s.w <- w;
-  Blockdev.Durable_store.set_meta s.durable w_meta_key (Int_set.elements w)
+  Durable.set_meta s.durable w_meta_key (Int_set.elements w)
 
 let fail_site t i =
   let s = site t i in
   if s.state <> Types.Failed then begin
-    Blockdev.Durable_store.crash s.durable;
+    Durable.crash s.durable;
     Transport.set_up t.net i false;
     Array.fill s.cache 0 (Array.length s.cache) None;
     s.repairing <- false;
@@ -285,8 +284,8 @@ let repair_site t i on_repair =
   if s.state = Types.Failed then begin
     (* Power back on: integrity pass over the journal before the protocol
        sees the disk, then reload the disk-resident metadata mirror. *)
-    ignore (Blockdev.Durable_store.scrub s.durable : Blockdev.Durable_store.scrub_report);
-    (match Blockdev.Durable_store.get_meta s.durable w_meta_key with
+    ignore (Durable.scrub s.durable : Durable.scrub_report);
+    (match Durable.get_meta s.durable w_meta_key with
     | Some ids -> s.w <- Int_set.of_list ids
     | None -> ());
     Transport.set_up t.net i true;
@@ -295,6 +294,40 @@ let repair_site t i on_repair =
 
 let send t ~op ~from ~dst payload = Transport.send t.net ~op ~from ~dst payload
 let broadcast t ~op ~from payload = Transport.broadcast t.net ~op ~from payload
+
+(* ------------------------------------------------------------------ *)
+(* Replica state                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let newest_version t block =
+  Array.fold_left (fun acc s -> Int.max acc (Durable.effective_version s.durable block)) 0 t.sites
+
+let vote_version s purpose block =
+  match purpose with
+  | Net.Message.Write -> Durable.version s.durable block
+  | Net.Message.Read | Net.Message.Recovery | Net.Message.Repair ->
+      Durable.effective_version s.durable block
+
+let fetch ?deadline t ~site ~block ~source ~min_version callback =
+  let rid =
+    begin_round ?deadline t ~coordinator:site ~expected:(Int_set.singleton source)
+      ~on_complete:(fun outcome replies ->
+        if t.sites.(site).state <> Types.Available then callback (Error Types.Site_not_available)
+        else
+          match
+            ( outcome,
+              List.find_map
+                (function
+                  | _, Wire.Block_transfer { block = b; version; data; _ } when b = block ->
+                      Some (version, data)
+                  | _ -> None)
+                replies )
+          with
+          | (Complete | Timeout), Some (version, data) when version >= min_version ->
+              callback (Ok (data, version))
+          | (Complete | Timeout), Some _ | _, None | Aborted, _ -> callback (Error Types.Timed_out))
+  in
+  send t ~op:Net.Message.Read ~from:site ~dst:source (Wire.Block_request { rid; block })
 
 let up_peers t i =
   List.fold_left

@@ -19,12 +19,8 @@ end
 type site = {
   id : int;
   durable : Blockdev.Durable_store.t;
-      (** the site's disk, with checksums and intention journal; faults are
-          injected and scrubbed here *)
-  store : Blockdev.Store.t;
-      (** [Durable_store.store durable] — the underlying block/version
-          arrays, for unchecked reads.  All writes must go through
-          [durable]. *)
+      (** the site's disk: block copies, versions, checksums and intention
+          journal; faults are injected and scrubbed here *)
   mutable state : Types.site_state;
   mutable w : Types.Int_set.t;
       (** was-available set; persistent across failures (kept on disk with
@@ -138,6 +134,37 @@ val repair_site : t -> int -> (site -> unit) -> unit
     was-available set from disk, then run the protocol's [on_repair] hook
     (which decides whether the site becomes comatose or immediately
     available).  No-op when the site is not failed. *)
+
+(** {1 Replica state} *)
+
+val newest_version : t -> Blockdev.Block.id -> int
+(** The highest effective version of a block across all sites, up or
+    down: the newest version some copy can still prove. *)
+
+val vote_version : site -> Net.Message.operation -> Blockdev.Block.id -> int
+(** The version a site's vote claims for a block.  A read vote claims the
+    effective version: a quarantined copy can prove nothing, so it never
+    wins a tally it could not serve.  A write vote claims the stored
+    version: a quarantined copy's floor is a version this disk
+    acknowledged, and numbering a new write at or below it would give two
+    writes one version. *)
+
+val fetch :
+  ?deadline:float ->
+  t ->
+  site:int ->
+  block:Blockdev.Block.id ->
+  source:int ->
+  min_version:int ->
+  (Types.read_result -> unit) ->
+  unit
+(** The pull round of a quorum read: ask [source] for its copy of [block]
+    in one request/transfer round coordinated by [site].  The callback
+    gets the transfer when it arrived at a version [>= min_version] — the
+    version the source's vote promised; a lower one means its copy rotted
+    between vote and transfer — while [site] is still available;
+    [Site_not_available] when [site] left service in the meantime, and
+    [Timed_out] otherwise.  Installing the copy is the caller's rule. *)
 
 (** {1 Messaging shortcuts} *)
 

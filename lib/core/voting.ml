@@ -11,24 +11,18 @@ let vote_of_reply block = function
       Some (from, version, weight)
   | _ -> None
 
-(* Votes carry the effective version: a quarantined copy claims 0 — it can
-   prove nothing — so it never wins a tally it could not serve. *)
-let local_vote t site_id block =
-  let s = Runtime.site t.rt site_id in
-  (site_id, Durable.effective_version s.durable block, Quorum.weight t.quorum site_id)
+let local_vote t site_id block purpose =
+  ( site_id,
+    Runtime.vote_version (Runtime.site t.rt site_id) purpose block,
+    Quorum.weight t.quorum site_id )
 
-(* Install an update carrying verified data: strictly newer versions as
-   always, and data at (or above) a quarantined block's version floor
-   repairs it in place.  Witnesses keep only the version number. *)
+(* Witnesses keep only the version number of what they absorb. *)
 let absorb t (s : Runtime.site) block version data =
-  if
-    version > Blockdev.Store.version s.store block
-    || ((not (Durable.checksum_ok s.durable block))
-       && version >= Blockdev.Store.version s.store block)
-  then
-    Durable.write s.durable block
-      (if is_witness t s.id then Blockdev.Block.zero else data)
-      ~version
+  ignore
+    (Durable.absorb s.durable block
+       (if is_witness t s.id then Blockdev.Block.zero else data)
+       ~version
+      : bool)
 
 (* Highest version wins; prefer the local site on ties (free), then the
    lowest id (determinism). *)
@@ -83,40 +77,13 @@ let collect_votes ?deadline t ~site_id ~block ~purpose ~k =
         | Runtime.Complete | Runtime.Timeout ->
             if not (coordinator_alive t site_id) then k None
             else begin
-              let votes = local_vote t site_id block :: List.filter_map (vote_of_reply block) replies in
+              let votes =
+                local_vote t site_id block purpose :: List.filter_map (vote_of_reply block) replies
+              in
               k (Some votes)
             end)
   in
   Runtime.broadcast t.rt ~op:purpose ~from:site_id (Wire.Vote_request { rid; block; purpose })
-
-(* Pull the current copy from [source] and serve it, installing it locally
-   when the local site stores data (lazy per-block recovery).  The source
-   promised [min_version] in its vote; a transfer below that means its copy
-   rotted between vote and transfer, and must not be served as current. *)
-let pull_and_serve t ?deadline ~site ~block ~source ~min_version callback =
-  let s = Runtime.site t.rt site in
-  let rid =
-    Runtime.begin_round ?deadline t.rt ~coordinator:site ~expected:(Int_set.singleton source)
-      ~on_complete:(fun outcome replies ->
-        if not (coordinator_alive t site) then callback (Error Types.Site_not_available)
-        else
-          match
-            ( outcome,
-              List.find_map
-                (function
-                  | _, Wire.Block_transfer { block = b; version; data; _ } when b = block ->
-                      Some (version, data)
-                  | _ -> None)
-                replies )
-          with
-          | (Runtime.Complete | Runtime.Timeout), Some (version, data)
-            when version >= min_version ->
-              absorb t s block version data;
-              callback (Ok (data, version))
-          | (Runtime.Complete | Runtime.Timeout), Some _ | _, None | Runtime.Aborted, _ ->
-              callback (Error Types.Timed_out))
-  in
-  Runtime.send t.rt ~op:Net.Message.Read ~from:site ~dst:source (Wire.Block_request { rid; block })
 
 (* ------------------------------------------------------------------ *)
 (* Group commit (batched writes)                                       *)
@@ -146,7 +113,7 @@ let collect_batch_votes ?deadline t ~site_id ~blocks ~k =
               let s = Runtime.site t.rt site_id in
               let local =
                 ( site_id,
-                  List.map (fun b -> (b, Durable.effective_version s.durable b)) blocks,
+                  List.map (fun b -> (b, Runtime.vote_version s purpose b)) blocks,
                   Quorum.weight t.quorum site_id )
               in
               let remote =
@@ -224,8 +191,14 @@ let read t ?deadline ~site ~block callback =
                         if Runtime.past_deadline t.rt deadline then
                           callback (Error Types.Timed_out)
                         else
-                          pull_and_serve t ?deadline ~site ~block ~source:best_data_site
-                            ~min_version:best_data_version callback
+                          (* Lazy per-block recovery: serve the current copy
+                             and install it locally. *)
+                          Runtime.fetch ?deadline t.rt ~site ~block ~source:best_data_site
+                            ~min_version:best_data_version (function
+                            | Ok (data, version) as served ->
+                                absorb t s block version data;
+                                callback served
+                            | Error _ as failed -> callback failed)
                       else begin
                         (* The local copy won the vote tie but cannot serve:
                            it is quarantined at effective version 0 (so every
@@ -267,7 +240,7 @@ let handle t (s : Runtime.site) ~from msg =
            {
              rid;
              block;
-             version = Durable.effective_version s.durable block;
+             version = Runtime.vote_version s purpose block;
              weight = Quorum.weight t.quorum s.id;
              group_size = Quorum.n_sites t.quorum;
            })
@@ -279,11 +252,10 @@ let handle t (s : Runtime.site) ~from msg =
       (* Only data sites are ever asked, so serving unconditionally is
          safe; a witness replying zeroes would indicate a coordinator bug,
          which the assert below would surface in tests.  A quarantined
-         copy serves (0, zero) — it can prove nothing — and the requester
-         rejects the transfer against the version the vote promised. *)
+         copy serves (0, zero), which the requester rejects against the
+         version the vote promised. *)
       assert (not (is_witness t s.id));
-      let version = Durable.effective_version s.durable block in
-      let data = if version = 0 then Blockdev.Block.zero else Blockdev.Store.read s.store block in
+      let version, data = Durable.serve s.durable block in
       Runtime.send t.rt ~op:Net.Message.Read ~from:s.id ~dst:from
         (Wire.Block_transfer { rid; block; version; data })
   | Wire.Batch_vote_request { rid; blocks; purpose } ->
@@ -291,7 +263,7 @@ let handle t (s : Runtime.site) ~from msg =
         (Wire.Batch_vote_reply
            {
              rid;
-             votes = List.map (fun b -> (b, Durable.effective_version s.durable b)) blocks;
+             votes = List.map (fun b -> (b, Runtime.vote_version s purpose b)) blocks;
              weight = Quorum.weight t.quorum s.id;
              group_size = Quorum.n_sites t.quorum;
            })
@@ -331,11 +303,7 @@ let quorum_up t =
     let n_blocks = (Runtime.config t.rt).n_blocks in
     let ok = ref true in
     for block = 0 to n_blocks - 1 do
-      let global_max =
-        Array.fold_left
-          (fun acc (s : Runtime.site) -> Int.max acc (Durable.effective_version s.durable block))
-          0 sites
-      in
+      let global_max = Runtime.newest_version t.rt block in
       let current_data_up =
         List.exists
           (fun i ->

@@ -1,8 +1,9 @@
-(* Tests for Blockdev: Block, Version_vector, Store, Mem_device. *)
+(* Tests for Blockdev: Block, Version_vector, Durable_store's replica
+   transfers, Mem_device. *)
 
 module Block = Blockdev.Block
 module Vv = Blockdev.Version_vector
-module Store = Blockdev.Store
+module Durable = Blockdev.Durable_store
 
 (* ------------------------------------------------------------------ *)
 (* Block                                                               *)
@@ -100,105 +101,112 @@ let test_vv_negative_rejected () =
     (fun () -> Vv.set v 0 (-1))
 
 (* ------------------------------------------------------------------ *)
-(* Store                                                               *)
+(* Durable_store as a replica store                                    *)
 (* ------------------------------------------------------------------ *)
 
+let read d k =
+  match Durable.read_verified d k with
+  | Some (b, _) -> b
+  | None -> Alcotest.failf "block %d is quarantined" k
+
+(* Same capacity, versions and verified contents everywhere. *)
+let same_replica a b =
+  Durable.capacity a = Durable.capacity b
+  && List.for_all
+       (fun k ->
+         let va, da = Durable.serve a k and vb, db = Durable.serve b k in
+         va = vb && Block.equal da db)
+       (List.init (Durable.capacity a) Fun.id)
+
 let test_store_initial () =
-  let s = Store.create ~capacity:8 in
-  Alcotest.(check int) "capacity" 8 (Store.capacity s);
-  Alcotest.(check bool) "initial zero blocks" true (Block.equal Block.zero (Store.read s 3));
-  Alcotest.(check int) "initial versions" 0 (Store.version s 3)
+  let s = Durable.create ~capacity:8 in
+  Alcotest.(check int) "capacity" 8 (Durable.capacity s);
+  Alcotest.(check bool) "initial zero blocks" true (Block.equal Block.zero (read s 3));
+  Alcotest.(check int) "initial versions" 0 (Durable.version s 3)
 
 let test_store_write_read () =
-  let s = Store.create ~capacity:4 in
-  Store.write s 2 (Block.of_string "data") ~version:1;
-  Alcotest.(check bool) "read back" true (Block.equal (Block.of_string "data") (Store.read s 2));
-  Alcotest.(check int) "version" 1 (Store.version s 2)
+  let s = Durable.create ~capacity:4 in
+  Durable.write s 2 (Block.of_string "data") ~version:1;
+  Alcotest.(check bool) "read back" true (Block.equal (Block.of_string "data") (read s 2));
+  Alcotest.(check int) "version" 1 (Durable.version s 2)
 
 let test_store_version_regression () =
-  let s = Store.create ~capacity:4 in
-  Store.write s 0 (Block.of_string "v2") ~version:2;
+  let s = Durable.create ~capacity:4 in
+  Durable.write s 0 (Block.of_string "v2") ~version:2;
   Alcotest.check_raises "regression"
-    (Invalid_argument "Store.write: version regression on block 0 (1 < 2)") (fun () ->
-      Store.write s 0 (Block.of_string "v1") ~version:1)
+    (Invalid_argument "Durable_store.write: version regression on block 0 (1 < 2)") (fun () ->
+      Durable.write s 0 (Block.of_string "v1") ~version:1)
 
 let test_store_idempotent_same_version () =
-  let s = Store.create ~capacity:4 in
-  Store.write s 0 (Block.of_string "a") ~version:1;
-  Store.write s 0 (Block.of_string "a") ~version:1;
-  Alcotest.(check int) "same version ok" 1 (Store.version s 0)
+  let s = Durable.create ~capacity:4 in
+  Durable.write s 0 (Block.of_string "a") ~version:1;
+  Durable.write s 0 (Block.of_string "a") ~version:1;
+  Alcotest.(check int) "same version ok" 1 (Durable.version s 0)
 
 let test_store_versions_snapshot () =
-  let s = Store.create ~capacity:3 in
-  Store.write s 1 (Block.of_string "x") ~version:4;
-  let v = Store.versions s in
+  let s = Durable.create ~capacity:3 in
+  Durable.write s 1 (Block.of_string "x") ~version:4;
+  let v = Durable.versions s in
   Alcotest.(check int) "snapshot" 4 (Vv.get v 1);
   (* mutation of the snapshot does not touch the store *)
   Vv.set v 1 9;
-  Alcotest.(check int) "store unaffected" 4 (Store.version s 1)
+  Alcotest.(check int) "store unaffected" 4 (Durable.version s 1)
 
 let test_store_newer_than_and_apply () =
-  let a = Store.create ~capacity:4 and b = Store.create ~capacity:4 in
-  Store.write a 0 (Block.of_string "zero") ~version:2;
-  Store.write a 3 (Block.of_string "three") ~version:1;
-  Store.write b 3 (Block.of_string "stale") ~version:1 (* same version: not newer *);
-  let updates = Store.blocks_newer_than a (Store.versions b) in
+  let a = Durable.create ~capacity:4 and b = Durable.create ~capacity:4 in
+  Durable.write a 0 (Block.of_string "zero") ~version:2;
+  Durable.write a 3 (Block.of_string "three") ~version:1;
+  Durable.write b 3 (Block.of_string "stale") ~version:1 (* same version: not newer *);
+  let updates = Durable.verified_blocks_newer_than a (Durable.versions b) in
   Alcotest.(check int) "one newer block" 1 (List.length updates);
-  Store.apply_updates b updates;
+  Durable.apply_updates b updates;
   Alcotest.(check bool) "b now has a's block 0" true
-    (Block.equal (Store.read b 0) (Block.of_string "zero"));
-  Alcotest.(check bool) "stores not equal (block 3 differs)" false (Store.equal_contents a b)
+    (Block.equal (read b 0) (Block.of_string "zero"));
+  Alcotest.(check bool) "stores not equal (block 3 differs)" false (same_replica a b)
 
 let test_store_apply_ignores_stale () =
-  let s = Store.create ~capacity:2 in
-  Store.write s 0 (Block.of_string "new") ~version:5;
-  Store.apply_updates s [ (0, 3, Block.of_string "old") ];
-  Alcotest.(check int) "kept newer" 5 (Store.version s 0);
-  Alcotest.(check bool) "content kept" true (Block.equal (Store.read s 0) (Block.of_string "new"))
+  let s = Durable.create ~capacity:2 in
+  Durable.write s 0 (Block.of_string "new") ~version:5;
+  Durable.apply_updates s [ (0, 3, Block.of_string "old") ];
+  Alcotest.(check int) "kept newer" 5 (Durable.version s 0);
+  Alcotest.(check bool) "content kept" true (Block.equal (read s 0) (Block.of_string "new"))
 
 let test_store_transfer_roundtrip_idempotent () =
-  let a = Store.create ~capacity:6 and b = Store.create ~capacity:6 in
-  Store.write a 0 (Block.of_string "zero") ~version:3;
-  Store.write a 2 (Block.of_string "two") ~version:1;
-  Store.write a 5 (Block.of_string "five") ~version:2;
-  Store.write b 2 (Block.of_string "old-two") ~version:1 (* equal version: stays *);
-  Store.write b 4 (Block.of_string "mine") ~version:7 (* b-only: untouched *);
-  let updates = Store.blocks_newer_than a (Store.versions b) in
-  Store.apply_updates b updates;
-  Alcotest.(check int) "b caught up on 0" 3 (Store.version b 0);
-  Alcotest.(check int) "b caught up on 5" 2 (Store.version b 5);
+  let a = Durable.create ~capacity:6 and b = Durable.create ~capacity:6 in
+  Durable.write a 0 (Block.of_string "zero") ~version:3;
+  Durable.write a 2 (Block.of_string "two") ~version:1;
+  Durable.write a 5 (Block.of_string "five") ~version:2;
+  Durable.write b 2 (Block.of_string "old-two") ~version:1 (* equal version: stays *);
+  Durable.write b 4 (Block.of_string "mine") ~version:7 (* b-only: untouched *);
+  let updates = Durable.verified_blocks_newer_than a (Durable.versions b) in
+  Durable.apply_updates b updates;
+  Alcotest.(check int) "b caught up on 0" 3 (Durable.version b 0);
+  Alcotest.(check int) "b caught up on 5" 2 (Durable.version b 5);
   Alcotest.(check bool) "equal-version block untouched" true
-    (Block.equal (Store.read b 2) (Block.of_string "old-two"));
-  Alcotest.(check int) "b-only block untouched" 7 (Store.version b 4);
+    (Block.equal (read b 2) (Block.of_string "old-two"));
+  Alcotest.(check int) "b-only block untouched" 7 (Durable.version b 4);
   (* Round trip is now dry in both directions... *)
-  Alcotest.(check int) "a->b dry" 0 (List.length (Store.blocks_newer_than a (Store.versions b)));
+  Alcotest.(check int) "a->b dry" 0
+    (List.length (Durable.verified_blocks_newer_than a (Durable.versions b)));
   (* ...and replaying the same transfer set is a no-op (idempotent). *)
-  let snapshot = Array.init 6 (Store.version b) in
-  Store.apply_updates b updates;
+  let snapshot = Array.init 6 (Durable.version b) in
+  Durable.apply_updates b updates;
   Alcotest.(check bool) "replay is a no-op" true
-    (Array.for_all Fun.id (Array.init 6 (fun k -> Store.version b k = snapshot.(k))))
+    (Array.for_all Fun.id (Array.init 6 (fun k -> Durable.version b k = snapshot.(k))))
 
 let test_store_blank_disk_full_transfer () =
   (* The fresh-replica case: a blank disk's version vector is all zeros,
      so the transfer set is exactly every block ever written and a single
      application converges the replica. *)
-  let a = Store.create ~capacity:8 and blank = Store.create ~capacity:8 in
+  let a = Durable.create ~capacity:8 and blank = Durable.create ~capacity:8 in
   List.iter
-    (fun (k, v) -> Store.write a k (Block.of_string (Printf.sprintf "blk%d" k)) ~version:v)
+    (fun (k, v) -> Durable.write a k (Block.of_string (Printf.sprintf "blk%d" k)) ~version:v)
     [ (0, 2); (1, 1); (3, 4); (7, 1) ];
-  let updates = Store.blocks_newer_than a (Store.versions blank) in
+  let updates = Durable.verified_blocks_newer_than a (Durable.versions blank) in
   Alcotest.(check (list int)) "every written block ships" [ 0; 1; 3; 7 ]
     (List.sort compare (List.map (fun (k, _, _) -> k) updates));
-  Store.apply_updates blank updates;
-  Alcotest.(check bool) "replica converged" true (Store.equal_contents a blank)
-
-let test_store_equal_contents () =
-  let a = Store.create ~capacity:2 and b = Store.create ~capacity:2 in
-  Alcotest.(check bool) "fresh stores equal" true (Store.equal_contents a b);
-  Store.write a 0 (Block.of_string "x") ~version:1;
-  Alcotest.(check bool) "diverged" false (Store.equal_contents a b);
-  Store.write b 0 (Block.of_string "x") ~version:1;
-  Alcotest.(check bool) "converged" true (Store.equal_contents a b)
+  Durable.apply_updates blank updates;
+  Alcotest.(check bool) "replica converged" true (same_replica a blank)
 
 (* ------------------------------------------------------------------ *)
 (* Mem_device                                                          *)
@@ -294,30 +302,31 @@ let prop_transfer_roundtrip_idempotent =
     QCheck.(
       pair (list_of_size (Gen.return 4) (int_range 0 6)) (list_of_size (Gen.return 4) (int_range 0 6)))
     (fun (xs, ys) ->
-      let a = Store.create ~capacity:4 and b = Store.create ~capacity:4 in
+      let a = Durable.create ~capacity:4 and b = Durable.create ~capacity:4 in
       let plant s tag =
         List.iteri (fun k v ->
-            if v > 0 then Store.write s k (Block.of_string (Printf.sprintf "%s%d.%d" tag k v)) ~version:v)
+            if v > 0 then
+              Durable.write s k (Block.of_string (Printf.sprintf "%s%d.%d" tag k v)) ~version:v)
       in
       plant a "a" xs;
       plant b "b" ys;
-      let updates = Store.blocks_newer_than a (Store.versions b) in
-      Store.apply_updates b updates;
-      Store.blocks_newer_than a (Store.versions b) = []
+      let updates = Durable.verified_blocks_newer_than a (Durable.versions b) in
+      Durable.apply_updates b updates;
+      Durable.verified_blocks_newer_than a (Durable.versions b) = []
       &&
-      let snap = Array.init 4 (Store.version b) in
-      Store.apply_updates b updates;
-      Array.for_all Fun.id (Array.init 4 (fun k -> Store.version b k = snap.(k))))
+      let snap = Array.init 4 (Durable.version b) in
+      Durable.apply_updates b updates;
+      Array.for_all Fun.id (Array.init 4 (fun k -> Durable.version b k = snap.(k))))
 
 let prop_apply_updates_monotone =
   QCheck.Test.make ~name:"apply_updates never lowers a version" ~count:200
     QCheck.(list_of_size (Gen.int_range 0 20) (triple (int_range 0 3) (int_range 0 9) printable_string))
     (fun updates ->
-      let s = Store.create ~capacity:4 in
-      Store.write s 0 Blockdev.Block.zero ~version:4;
-      let before = Array.init 4 (Store.version s) in
-      Store.apply_updates s (List.map (fun (k, v, d) -> (k, v, Block.of_string d)) updates);
-      Array.for_all Fun.id (Array.init 4 (fun k -> Store.version s k >= before.(k))))
+      let s = Durable.create ~capacity:4 in
+      Durable.write s 0 Blockdev.Block.zero ~version:4;
+      let before = Array.init 4 (Durable.version s) in
+      Durable.apply_updates s (List.map (fun (k, v, d) -> (k, v, Block.of_string d)) updates);
+      Array.for_all Fun.id (Array.init 4 (fun k -> Durable.version s k >= before.(k))))
 
 let () =
   Alcotest.run "blockdev"
@@ -357,7 +366,6 @@ let () =
           Alcotest.test_case "transfer round trip idempotent" `Quick
             test_store_transfer_roundtrip_idempotent;
           Alcotest.test_case "blank-disk full transfer" `Quick test_store_blank_disk_full_transfer;
-          Alcotest.test_case "equal contents" `Quick test_store_equal_contents;
           QCheck_alcotest.to_alcotest prop_transfer_roundtrip_idempotent;
           QCheck_alcotest.to_alcotest prop_apply_updates_monotone;
         ] );

@@ -111,6 +111,27 @@ let test_checkpoint_mid_outage_for_nac () =
   | Error e -> Alcotest.failf "read: %s" (Types.failure_reason_to_string e));
   Sys.remove path
 
+let test_save_refuses_quarantined_copy () =
+  (* Restore seals every block it installs, so saving a rotted copy would
+     resurrect it as verified: site 1 would then serve other bytes at v1
+     than site 0 does. *)
+  let c = make () in
+  ignore (Cluster.write_sync c ~site:0 ~block:0 (Block.of_string "precious"));
+  settle c;
+  Cluster.inject_bitrot c ~site:1 ~block:0;
+  let path = temp () in
+  (match Checkpoint.save c path with
+  | Error msg ->
+      Alcotest.(check string) "names the quarantined copy"
+        "site 1 holds a quarantined copy of block 0; repair it before saving" msg
+  | Ok () ->
+      let c2 = make () in
+      ok (Checkpoint.restore c2 path);
+      Alcotest.failf "saved a quarantined copy; after restore: %s"
+        (String.concat "; "
+           (List.map Check.Violation.to_string (Check.Invariant.scan c2))));
+  Sys.remove path
+
 let () =
   Alcotest.run "checkpoint"
     [
@@ -120,6 +141,7 @@ let () =
           Alcotest.test_case "refuses used cluster" `Quick test_restore_refuses_used_cluster;
           Alcotest.test_case "refuses wrong scheme" `Quick test_restore_refuses_mismatched_config;
           Alcotest.test_case "refuses garbage" `Quick test_restore_refuses_garbage;
+          Alcotest.test_case "refuses quarantined state" `Quick test_save_refuses_quarantined_copy;
           Alcotest.test_case "mid-outage checkpoint" `Quick test_checkpoint_mid_outage_for_nac;
         ] );
     ]

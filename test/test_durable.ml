@@ -4,7 +4,6 @@
 
 module Block = Blockdev.Block
 module Vv = Blockdev.Version_vector
-module Store = Blockdev.Store
 module Durable = Blockdev.Durable_store
 
 let block = Block.of_string
@@ -25,8 +24,7 @@ let test_passthrough () =
       Alcotest.(check bool) "contents" true (Block.equal b (block "hello"));
       Alcotest.(check int) "version" 2 v
   | None -> Alcotest.fail "verified read refused a clean block");
-  (* The underlying store agrees: no faults means bit-identical state. *)
-  Alcotest.(check int) "store version" 2 (Store.version (Durable.store d) 3)
+  Alcotest.(check int) "stored version" 2 (Durable.version d 3)
 
 let test_version_regression_on_verified () =
   let d = Durable.create ~capacity:4 in
@@ -48,7 +46,7 @@ let test_bitrot_quarantines () =
   Alcotest.(check bool) "verified read refuses" true (Durable.read_verified d 1 = None);
   (* Stored version metadata stays trustworthy: decay hits data bytes,
      not the separately journaled version table. *)
-  Alcotest.(check int) "stored version intact" 3 (Store.version (Durable.store d) 1);
+  Alcotest.(check int) "stored version intact" 3 (Durable.version d 1);
   Alcotest.(check int) "counted" 1 (Durable.counters d).Durable.bitrot_injected
 
 let test_quarantined_never_transferred () =
@@ -68,7 +66,7 @@ let test_version_floor () =
   Durable.write d 0 (block "stale") ~version:2;
   Alcotest.(check bool) "still quarantined" false (Durable.checksum_ok d 0);
   Alcotest.(check int) "refusal counted" 1 (Durable.counters d).Durable.refused_installs;
-  Alcotest.(check int) "floor intact" 4 (Store.version (Durable.store d) 0);
+  Alcotest.(check int) "floor intact" 4 (Durable.version d 0);
   (* At the floor: verified data heals the block in place. *)
   Durable.write d 0 (block "current") ~version:4;
   Alcotest.(check bool) "healed" true (Durable.checksum_ok d 0);
@@ -81,8 +79,8 @@ let test_apply_updates_repairs_at_floor () =
   let d = Durable.create ~capacity:4 in
   Durable.write d 1 (block "x") ~version:3;
   Durable.inject_bitrot d 1;
-  (* A recovery transfer at the exact stored version repairs in place;
-     plain Store.apply_updates would drop it as not-strictly-newer. *)
+  (* A recovery transfer at the exact stored version repairs in place,
+     although it is not strictly newer. *)
   Durable.apply_updates d [ (1, 3, block "x") ];
   Alcotest.(check bool) "repaired by transfer" true (Durable.checksum_ok d 1);
   Alcotest.(check int) "version kept" 3 (Durable.effective_version d 1);
@@ -185,7 +183,7 @@ let test_torn_meta_journal_restores_previous () =
   Alcotest.(check int) "discarded" 1 report.Durable.discarded
 
 (* ------------------------------------------------------------------ *)
-(* Disk replacement and re-blessing                                    *)
+(* Disk replacement                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_replace_disk () =
@@ -197,21 +195,10 @@ let test_replace_disk () =
   Durable.replace_disk d;
   Alcotest.(check bool) "blank block verified" true (Durable.checksum_ok d 2);
   Alcotest.(check int) "version reset" 0 (Durable.effective_version d 2);
-  Alcotest.(check bool) "contents zeroed" true
-    (Block.equal (Store.read (Durable.store d) 2) Block.zero);
+  Alcotest.(check bool) "contents zeroed" true (Durable.read_verified d 2 = Some (Block.zero, 0));
   Alcotest.(check (option (list int))) "meta back to default" (Some [ 0; 1 ])
     (Durable.get_meta d "w");
   Alcotest.(check int) "counted" 1 (Durable.counters d).Durable.disk_replacements
-
-let test_rebless_after_direct_store_write () =
-  let d = Durable.create ~capacity:2 in
-  (* Checkpoint restore writes the underlying store directly... *)
-  Store.write (Durable.store d) 0 (block "restored") ~version:5;
-  Alcotest.(check bool) "stale checksum before" false (Durable.checksum_ok d 0);
-  (* ...then re-blesses: by construction it restores only verified state. *)
-  Durable.rebless d;
-  Alcotest.(check bool) "verified after" true (Durable.checksum_ok d 0);
-  Alcotest.(check int) "effective version" 5 (Durable.effective_version d 0)
 
 let test_counter_accumulation () =
   let a = Durable.zero_counters () in
@@ -237,7 +224,7 @@ let prop_bitrot_always_detected =
       let d = Durable.create ~capacity:4 in
       Durable.write d 1 (block s) ~version:v;
       Durable.inject_bitrot d 1;
-      (not (Durable.checksum_ok d 1)) && Store.version (Durable.store d) 1 = v)
+      (not (Durable.checksum_ok d 1)) && Durable.version d 1 = v)
 
 (* Crash-atomicity: whichever way the crash tears, after the scrub the
    block is verified and holds either the old or the new write — never a
@@ -259,6 +246,97 @@ let prop_scrub_restores_old_or_new =
       | Some (b, 2) -> Block.equal b (block new_s)
       | _ -> false)
 
+(* The replica rules against a model.  Random sequences of installs and
+   media faults; the model tracks, per block, the stored version, the
+   last installed contents and whether the copy is still verified.  After
+   every step the store must agree with the model: its stored version,
+   its checksum verdict, and [serve] answering only verified bytes.
+   [absorb] must install exactly when the offer is newer than the stored
+   version or reaches a quarantined block's floor, and never lower a
+   version. *)
+type op =
+  | Write of int * int * string  (** block, versions above the stored one, payload *)
+  | Absorb of int * int * string  (** block, offered version, payload *)
+  | Apply of (int * int * string) list
+  | Rot of int
+  | Replace
+
+let show_op = function
+  | Write (k, d, s) -> Printf.sprintf "write %d +%d %S" k d s
+  | Absorb (k, v, s) -> Printf.sprintf "absorb %d v%d %S" k v s
+  | Apply l ->
+      Printf.sprintf "apply [%s]"
+        (String.concat "; " (List.map (fun (k, v, s) -> Printf.sprintf "%d v%d %S" k v s) l))
+  | Rot k -> Printf.sprintf "rot %d" k
+  | Replace -> "replace"
+
+let arb_ops =
+  let open QCheck.Gen in
+  let blk = int_range 0 3 and ver = int_range 0 6 in
+  let payload = string_size ~gen:printable (int_range 1 6) in
+  let op =
+    frequency
+      [
+        (3, map3 (fun k d s -> Write (k, d, s)) blk (int_range 0 2) payload);
+        (4, map3 (fun k v s -> Absorb (k, v, s)) blk ver payload);
+        (2, map (fun l -> Apply l) (list_size (int_range 0 3) (triple blk ver payload)));
+        (2, map (fun k -> Rot k) blk);
+        (1, return Replace);
+      ]
+  in
+  QCheck.make ~print:(QCheck.Print.list show_op) (list_size (int_range 1 40) op)
+
+let prop_replica_rules =
+  QCheck.Test.make ~name:"absorb and serve follow the replica rules" ~count:300 arb_ops
+    (fun ops ->
+      let capacity = 4 in
+      let d = Durable.create ~capacity in
+      let m_version = Array.make capacity 0
+      and m_data = Array.make capacity Block.zero
+      and m_ok = Array.make capacity true in
+      let installs k v = v > m_version.(k) || ((not m_ok.(k)) && v >= m_version.(k)) in
+      let install k v data =
+        m_version.(k) <- v;
+        m_data.(k) <- data;
+        m_ok.(k) <- true
+      in
+      let agrees k =
+        Durable.version d k = m_version.(k)
+        && Durable.checksum_ok d k = m_ok.(k)
+        &&
+        match Durable.serve d k with
+        | v, data when m_ok.(k) -> v = m_version.(k) && Block.equal data m_data.(k)
+        | v, data -> v = 0 && Block.equal data Block.zero
+      in
+      let step = function
+        | Write (k, delta, s) ->
+            let v = Durable.version d k + delta in
+            Durable.write d k (block s) ~version:v;
+            install k v (block s);
+            true
+        | Absorb (k, v, s) ->
+            let stored = Durable.version d k in
+            let rule = v > stored || ((not (Durable.checksum_ok d k)) && v >= stored) in
+            let installed = Durable.absorb d k (block s) ~version:v in
+            if installed then install k v (block s);
+            installed = rule && Durable.version d k >= stored
+        | Apply l ->
+            List.iter (fun (k, v, s) -> if installs k v then install k v (block s)) l;
+            Durable.apply_updates d (List.map (fun (k, v, s) -> (k, v, block s)) l);
+            true
+        | Rot k ->
+            Durable.inject_bitrot d k;
+            m_ok.(k) <- false;
+            true
+        | Replace ->
+            Durable.replace_disk d;
+            for k = 0 to capacity - 1 do
+              install k 0 Block.zero
+            done;
+            true
+      in
+      List.for_all (fun op -> step op && List.for_all agrees (List.init capacity Fun.id)) ops)
+
 let () =
   Alcotest.run "durable"
     [
@@ -274,6 +352,7 @@ let () =
           Alcotest.test_case "version floor" `Quick test_version_floor;
           Alcotest.test_case "transfer repairs at floor" `Quick test_apply_updates_repairs_at_floor;
           QCheck_alcotest.to_alcotest prop_bitrot_always_detected;
+          QCheck_alcotest.to_alcotest prop_replica_rules;
         ] );
       ( "torn-writes",
         [
@@ -293,7 +372,6 @@ let () =
       ( "replacement",
         [
           Alcotest.test_case "replace disk" `Quick test_replace_disk;
-          Alcotest.test_case "rebless" `Quick test_rebless_after_direct_store_write;
           Alcotest.test_case "counter accumulation" `Quick test_counter_accumulation;
         ] );
     ]

@@ -99,12 +99,12 @@ let test_coordinator_failure_aborts_round () =
 let test_fail_site_preserves_disk_clears_volatile () =
   let rt = make () in
   let s = Runtime.site rt 1 in
-  Blockdev.Store.write s.Runtime.store 0 (Blockdev.Block.of_string "on disk") ~version:3;
+  Blockdev.Durable_store.write s.Runtime.durable 0 (Blockdev.Block.of_string "on disk") ~version:3;
   s.Runtime.w <- Types.int_set_of_list [ 0; 1 ];
   Runtime.cache_info rt 1 (Runtime.make_info rt 2);
   Runtime.fail_site rt 1;
   Alcotest.(check bool) "state failed" true (s.Runtime.state = Types.Failed);
-  Alcotest.(check int) "versions survive" 3 (Blockdev.Store.version s.Runtime.store 0);
+  Alcotest.(check int) "versions survive" 3 (Blockdev.Durable_store.version s.Runtime.durable 0);
   Alcotest.(check bool) "was-available survives" true
     (Int_set.equal s.Runtime.w (Types.int_set_of_list [ 0; 1 ]));
   Alcotest.(check bool) "peer cache cleared" true (Array.for_all (( = ) None) s.Runtime.cache)
@@ -134,12 +134,12 @@ let test_peers_matching () =
 let test_make_info_snapshot () =
   let rt = make () in
   let s = Runtime.site rt 2 in
-  Blockdev.Store.write s.Runtime.store 1 (Blockdev.Block.of_string "x") ~version:5;
+  Blockdev.Durable_store.write s.Runtime.durable 1 (Blockdev.Block.of_string "x") ~version:5;
   let info = Runtime.make_info rt 2 in
   Alcotest.(check int) "origin" 2 info.Wire.origin;
   Alcotest.(check int) "versions snapshot" 5 (Blockdev.Version_vector.get info.Wire.versions 1);
   (* Later writes do not mutate the snapshot. *)
-  Blockdev.Store.write s.Runtime.store 1 (Blockdev.Block.of_string "y") ~version:6;
+  Blockdev.Durable_store.write s.Runtime.durable 1 (Blockdev.Block.of_string "y") ~version:6;
   Alcotest.(check int) "immutable snapshot" 5 (Blockdev.Version_vector.get info.Wire.versions 1)
 
 let test_repair_requires_failed () =
