@@ -31,10 +31,10 @@ let () =
   printf "\nsite 0 failed; device available? %b\n" (Blockrep.Cluster.system_available cluster);
   assert (Blockrep.Reliable_device.write_block device 2 (Blockdev.Block.of_string "during failure"));
   (match Blockrep.Reliable_device.read_block device 2 with
-  | Some b -> printf "read block 2 -> %S (stub failed over %d time(s); home stays %d)\n"
+  | Some b -> printf "read block 2 -> %S (failed over %d time(s); home stays %d)\n"
                 (String.sub (Blockdev.Block.to_string b) 0 14)
-                (Blockrep.Driver_stub.failovers (Blockrep.Reliable_device.stub device))
-                (Blockrep.Driver_stub.home (Blockrep.Reliable_device.stub device))
+                (Blockrep.Reliable_device.degradation device).failovers
+                (Blockrep.Reliable_device.home device)
   | None -> printf "read block 2 failed\n");
 
   (* A second site dies: still one available copy, still serving. *)

@@ -626,7 +626,7 @@ let run_against env ~cluster ~schedule =
   let baseline block = baseline_tbl.(block) in
   let device = Blockrep.Reliable_device.create cluster in
   let history = History.create () in
-  History.attach_stub history (Blockrep.Reliable_device.stub device);
+  History.attach history device;
   (* No coalescing timer here: a timer can close the window in the middle
      of another client operation's engine drive, and the nested batched
      write would make the recorded history non-sequential (the oracle

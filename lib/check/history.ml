@@ -1,4 +1,4 @@
-type kind = Blockrep.Driver_stub.kind = Read | Write
+type kind = Blockrep.Reliable_device.kind = Read | Write
 
 type entry = {
   id : int;
@@ -23,8 +23,8 @@ let record t ~kind ~block ~site ~invoked ~responded ?payload ?version ?error () 
   t.rev_entries <- entry :: t.rev_entries;
   t.n <- t.n + 1
 
-let attach_stub t stub =
-  Blockrep.Driver_stub.add_observer stub (fun (v : Blockrep.Driver_stub.op_view) ->
+let attach t device =
+  Blockrep.Reliable_device.add_observer device (fun (v : Blockrep.Reliable_device.op_view) ->
       record t ~kind:v.kind ~block:v.block ~site:v.site ~invoked:v.invoked
         ~responded:v.responded ?payload:v.payload ?version:v.version
         ?error:(Option.map Blockrep.Types.failure_reason_to_string v.error)

@@ -2,15 +2,15 @@
 
     The raw material of consistency checking: a sequence of operation
     records — kind, block, serving site, virtual invocation/response
-    times, payload, and outcome — appended either through the stub's
-    observer hook ({!attach_stub}) or manually ({!record}, for synthetic
+    times, payload, and outcome — appended either through the device's
+    observer hook ({!attach}) or manually ({!record}, for synthetic
     histories in oracle tests).
 
-    The stub reports one event per {e logical} request, after failover and
-    retry resolution, which is exactly the client-visible history
+    The device reports one event per {e logical} request, after failover
+    and retry resolution, which is exactly the client-visible history
     one-copy serializability speaks about. *)
 
-type kind = Blockrep.Driver_stub.kind = Read | Write
+type kind = Blockrep.Reliable_device.kind = Read | Write
 
 type entry = {
   id : int;  (** position in the history, 0-based *)
@@ -46,8 +46,8 @@ val record :
   unit
 (** Append one entry (ids are assigned in append order). *)
 
-val attach_stub : t -> Blockrep.Driver_stub.t -> unit
-(** Record every logical request completed through the stub from now on. *)
+val attach : t -> Blockrep.Reliable_device.t -> unit
+(** Record every logical request completed through the device from now on. *)
 
 val length : t -> int
 

@@ -2,7 +2,7 @@
 
     The reliable device claims to behave like a single block device.  For
     a sequential client history — each operation invoked after the
-    previous one responded, which is what {!History.attach_stub} records —
+    previous one responded, which is what {!History.attach} records —
     that claim has a simple per-block shape the oracle checks directly:
 
     - versions of successful writes are strictly increasing, and no two

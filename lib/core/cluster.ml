@@ -98,16 +98,22 @@ let valid_batch t blocks =
    every client operation enters its coordinator site's bounded work queue
    and pays the seeded per-client service cost before the protocol runs; a
    full queue rejects the operation immediately with [Overloaded] instead
-   of letting it pile onto a site that cannot keep up.  Without a service
+   of letting it pile onto a site that cannot keep up, and a site that
+   crashes with the operation still queued answers it
+   [Site_not_available], as an aborted round does.  Without a service
    model ([`Direct]) the thunk runs synchronously — the exact legacy
    path. *)
-let enter t ~site ~fail thunk =
-  match Runtime.Transport.submit_client (Runtime.net t.rt) ~site thunk with
+let enter t ~site callback thunk =
+  match
+    Runtime.Transport.submit_client (Runtime.net t.rt) ~site
+      ~drop:(fun () -> callback (Error Types.Site_not_available))
+      thunk
+  with
   | `Direct -> thunk ()
   | `Queued -> ()
   | `Shed ->
       t.client_shed <- t.client_shed + 1;
-      fail Types.Overloaded
+      callback (Error Types.Overloaded)
 
 (* Feed the hedge-delay histogram with every completed read's latency
    (queueing included — the clock starts at submission). *)
@@ -153,8 +159,7 @@ let read t ?deadline ~site ~block callback =
   check_block t block;
   let callback = with_read_latency t callback in
   match (config t).robustness.Robustness.hedge with
-  | None -> enter t ~site ~fail:(fun e -> callback (Error e)) (fun () ->
-        protocol_read t ?deadline ~site ~block callback)
+  | None -> enter t ~site callback (fun () -> protocol_read t ?deadline ~site ~block callback)
   | Some h ->
       (* Hedged read: race a second copy of the read at another coordinator
          after the configured latency quantile.  The hedge rides the peer's
@@ -189,8 +194,8 @@ let read t ?deadline ~site ~block callback =
               end
           | (Ok _ | Error _) as r -> miss r)
       in
-      let submit_at peer work ~shed =
-        match Runtime.Transport.submit_client (Runtime.net t.rt) ~site:peer work with
+      let submit_at peer work ~shed ~drop =
+        match Runtime.Transport.submit_client (Runtime.net t.rt) ~site:peer ~drop work with
         | `Direct -> work ()
         | `Queued -> ()
         | `Shed -> shed ()
@@ -199,8 +204,11 @@ let read t ?deadline ~site ~block callback =
         t.client_shed <- t.client_shed + 1;
         finish (Error Types.Overloaded)
       in
+      (* The read's own queue entry (primary or spillover) died with its
+         site: answer it as an aborted round would. *)
+      let dropped () = finish (Error Types.Site_not_available) in
       let primary () = protocol_read t ?deadline ~site ~block finish in
-      (match Runtime.Transport.submit_client (Runtime.net t.rt) ~site primary with
+      (match Runtime.Transport.submit_client (Runtime.net t.rt) ~site ~drop:dropped primary with
       | `Direct -> primary ()
       | `Queued -> ()
       | `Shed -> (
@@ -211,7 +219,7 @@ let read t ?deadline ~site ~block callback =
           match hedge_peer t ~site with
           | None -> shed_for_real ()
           | Some peer ->
-              submit_at peer ~shed:shed_for_real (fun () ->
+              submit_at peer ~shed:shed_for_real ~drop:dropped (fun () ->
                   hedge_read ~peer ~miss:(function
                     | Ok _ -> shed_for_real ()
                     | Error _ as e -> finish e))));
@@ -224,13 +232,14 @@ let read t ?deadline ~site ~block callback =
                  | Some peer ->
                      submit_at peer
                        ~shed:(fun () -> ())
+                       ~drop:(fun () -> ())
                        (fun () -> hedge_read ~peer ~miss:(fun _ -> ())))
             : Sim.Engine.handle)
 
 let write t ?deadline ~site ~block data callback =
   check_block t block;
   let callback = with_sync_cost t callback in
-  enter t ~site ~fail:(fun e -> callback (Error e)) (fun () ->
+  enter t ~site callback (fun () ->
       match t.protocol with
       | Voting_p v -> Voting.write v ?deadline ~site ~block data callback
       | Copy_p c -> Copy_protocol.write c ?deadline ~site ~block data callback
@@ -249,7 +258,7 @@ let write_blocks t ?deadline ~site writes callback =
       write t ?deadline ~site ~block data (fun r -> callback (Result.map (fun v -> [ v ]) r))
   | _ ->
       let callback = with_sync_cost t callback in
-      enter t ~site ~fail:(fun e -> callback (Error e)) (fun () ->
+      enter t ~site callback (fun () ->
           match t.protocol with
           | Voting_p v -> Voting.write_batch v ?deadline ~site writes callback
           | Copy_p c -> Copy_protocol.write_batch c ?deadline ~site writes callback

@@ -32,7 +32,9 @@ val read :
   t -> ?deadline:float -> site:int -> block:Blockdev.Block.id -> (Types.read_result -> unit) -> unit
 (** With a service model configured the operation first rides the
     coordinator site's bounded work queue (admission): a full queue fails
-    it immediately with [Overloaded].  With hedging configured
+    it immediately with [Overloaded], and a coordinator that crashes with
+    the operation still queued fails it with [Site_not_available] on the
+    next tick, as an aborted round does.  With hedging configured
     ([Config.robustness.hedge]) a second copy of the read races at another
     available site after the configured latency quantile; the first answer
     wins, and a hedge answer only counts when its version is at or above

@@ -1,7 +1,32 @@
+type kind = Read | Write
+
+type op_view = {
+  kind : kind;
+  block : Blockdev.Block.id;
+  site : int;
+  invoked : float;
+  responded : float;
+  payload : Blockdev.Block.t option;
+  version : int option;
+  error : Types.failure_reason option;
+}
+
 type t = {
   cluster : Cluster.t;
-  stub : Driver_stub.t;
+  home : int;
+  policy : Retry.policy;
+  settle : float;  (** drain imposed before switching service between available sites *)
+  budget : float option;
+      (** per-operation virtual-time budget; each request's absolute
+          deadline is [now + budget], propagated end-to-end *)
   admission : int option;
+  stats : Retry.stats;  (** one [Retry.run] per sync request *)
+  mutable site_attempts : int;
+  mutable failovers : int;
+  mutable last_served : int;
+  mutable last_tried : int;
+  mutable observers : (op_view -> unit) list;
+  mutable last_error : Types.failure_reason option;
   mutable in_flight : int;
   mutable shed : int;
   mutable async_ops : int;
@@ -9,22 +34,36 @@ type t = {
   mutable async_timeouts : int;
   mutable async_rejected : int;
   mutable async_failed : int;
-  mutable last_error : Types.failure_reason option;
 }
 
-let create ?home ?policy ?settle ?rng ?admission cluster =
-  let admission =
-    match admission with
-    | Some _ as a -> a
-    | None -> (Cluster.config cluster).Config.robustness.Robustness.admission
+let create ?(home = 0) cluster =
+  if home < 0 || home >= Cluster.n_sites cluster then
+    invalid_arg "Reliable_device.create: bad home site";
+  let config = Cluster.config cluster in
+  let policy = Retry.default_policy ~unit:config.Config.op_timeout () in
+  let robustness = config.Config.robustness in
+  let budget =
+    if not robustness.Robustness.deadlines then None
+    else
+      (* An explicit op budget, or the retry policy's own deadline — the
+         point past which the device would abandon the operation anyway, so
+         sub-requests beyond it are provably useless. *)
+      Some (Option.value robustness.Robustness.op_budget ~default:policy.Retry.deadline)
   in
-  (match admission with
-  | Some n when n < 1 -> invalid_arg "Reliable_device.create: admission limit must be at least 1"
-  | Some _ | None -> ());
   {
     cluster;
-    stub = Driver_stub.create ?home ?policy ?settle ?rng cluster;
-    admission;
+    home;
+    policy;
+    settle = config.Config.op_timeout;
+    budget;
+    admission = robustness.Robustness.admission;
+    stats = Retry.create_stats ();
+    site_attempts = 0;
+    failovers = 0;
+    last_served = home;
+    last_tried = home;
+    observers = [];
+    last_error = None;
     in_flight = 0;
     shed = 0;
     async_ops = 0;
@@ -32,66 +71,141 @@ let create ?home ?policy ?settle ?rng ?admission cluster =
     async_timeouts = 0;
     async_rejected = 0;
     async_failed = 0;
-    last_error = None;
   }
 
-let of_config ?policy ?settle ?rng ?admission config =
-  create ?policy ?settle ?rng ?admission (Cluster.create config)
-
+let of_config config = create (Cluster.create config)
 let cluster t = t.cluster
-let stub t = t.stub
+let home t = t.home
+let deadline_budget t = t.budget
 let capacity t = Cluster.n_blocks t.cluster
+let last_error t = t.last_error
 let in_flight t = t.in_flight
+let add_observer t f = t.observers <- t.observers @ [ f ]
+let now t = Sim.Engine.now (Cluster.engine t.cluster)
+let op_deadline t = Option.map (fun b -> now t +. b) t.budget
 
-let read_block t k =
-  if k < 0 || k >= capacity t then None
-  else
-    match Driver_stub.read_block t.stub k with
-    | Ok (data, _version) ->
-        t.last_error <- None;
-        Some data
-    | Error reason ->
-        t.last_error <- Some reason;
-        None
+(* ------------------------------------------------------------------ *)
+(* Forwarding: home-first rotation under bounded retries               *)
+(* ------------------------------------------------------------------ *)
 
-let write_block t k data =
-  if k < 0 || k >= capacity t then false
-  else
-    match Driver_stub.write_block t.stub k data with
-    | Ok _version ->
-        t.last_error <- None;
-        true
-    | Error reason ->
-        t.last_error <- Some reason;
-        false
+(* One rotation: try the home site first, then the remaining sites once in
+   id order when the local server cannot serve.  The home never migrates —
+   a transient outage must not permanently strand requests elsewhere; the
+   next request probes the home again and service resumes the moment it
+   recovers.  Other error kinds (quorum loss) are global, so failing over
+   would not help and the error is surfaced to the retry layer.
 
-(* Batched write, for the write-back cache: one stub rotation commits the
-   whole group.  Mirrors the single-block convention — a malformed batch
-   (empty, out of range or with a repeated id) answers false without
-   touching the cluster or any counter. *)
+   Before handing a request to an *available* site other than the one that
+   served last, the device lets in-flight traffic drain for [settle]
+   virtual time: the copy schemes propagate updates fire-and-forget, so
+   without the barrier a failover (or the return home after one) could
+   read a copy that has not yet received the previous server's update — or
+   worse, write at it and mint a colliding version.  Down sites are probed
+   without waiting; failing over past a corpse must stay fast. *)
+let rotation t attempt =
+  let n = Cluster.n_sites t.cluster in
+  let rec go tried site =
+    if site <> t.last_served && Cluster.site_state t.cluster site = Types.Available then
+      Cluster.run_until t.cluster (now t +. t.settle);
+    t.site_attempts <- t.site_attempts + 1;
+    t.last_tried <- site;
+    match attempt site with
+    | Error Types.Site_not_available when tried < n - 1 ->
+        t.failovers <- t.failovers + 1;
+        go (tried + 1) ((site + 1) mod n)
+    | Ok _ as ok ->
+        t.last_served <- site;
+        ok
+    | Error _ as err -> err
+  in
+  go 0 t.home
+
+(* A full failed rotation may still be transient (messages lost to the
+   wire, a repair in flight), so the bounded-backoff layer wraps it.  With
+   deadlines enabled the absolute deadline is fixed here, at the top of
+   the operation, and flows through every rotation, retry and protocol
+   round below; no retry is started at or past it. *)
+let forward t attempt =
+  let deadline = op_deadline t in
+  Retry.run t.policy ~engine:(Cluster.engine t.cluster) ~stats:t.stats ?deadline
+    (fun ~attempt:_ -> rotation t (attempt ~deadline))
+
+(* Observers carry closures, so structural comparison (even against [])
+   is off the table; test emptiness by pattern instead. *)
+let has_observers t = match t.observers with [] -> false | _ :: _ -> true
+
+let observe t kind block ~invoked ~payload result =
+  let view =
+    match result with
+    | Ok version ->
+        { kind; block; site = t.last_served; invoked; responded = now t; payload;
+          version = Some version; error = None }
+    | Error e ->
+        { kind; block; site = t.last_tried; invoked; responded = now t; payload;
+          version = None; error = Some e }
+  in
+  List.iter (fun f -> f view) t.observers
+
+(* Remember why the latest answer failed, for [last_error]. *)
+let remember t = function Ok _ -> t.last_error <- None | Error reason -> t.last_error <- Some reason
+
+let read_block t block =
+  if block < 0 || block >= capacity t then None
+  else begin
+    let invoked = now t in
+    let result = forward t (fun ~deadline site -> Cluster.read_sync ?deadline t.cluster ~site ~block) in
+    (if has_observers t then
+       match result with
+       | Ok (data, version) -> observe t Read block ~invoked ~payload:(Some data) (Ok version)
+       | Error e -> observe t Read block ~invoked ~payload:None (Error e));
+    remember t result;
+    match result with Ok (data, _) -> Some data | Error _ -> None
+  end
+
+let write_block t block data =
+  if block < 0 || block >= capacity t then false
+  else begin
+    let invoked = now t in
+    let result =
+      forward t (fun ~deadline site -> Cluster.write_sync ?deadline t.cluster ~site ~block data)
+    in
+    if has_observers t then observe t Write block ~invoked ~payload:(Some data) result;
+    remember t result;
+    Result.is_ok result
+  end
+
+(* Group commit: the whole group rides one rotation.  A malformed batch is
+   the caller's bug, not a request the degradation identity must account
+   for, so it is refused before any counter moves.  Observers still see
+   one event per block, after the batch resolves, so history checkers need
+   not know about batching. *)
 let write_blocks t writes =
   if not (Cluster.valid_batch t.cluster (List.map fst writes)) then false
-  else
-    match Driver_stub.write_blocks t.stub writes with
-    | Ok _versions ->
-        t.last_error <- None;
-        true
-    | Error reason ->
-        t.last_error <- Some reason;
-        false
-
-let last_error t = t.last_error
+  else begin
+    let invoked = now t in
+    let result =
+      forward t (fun ~deadline site -> Cluster.write_blocks_sync ?deadline t.cluster ~site writes)
+    in
+    (if has_observers t then
+       match result with
+       | Ok versions ->
+           List.iter2
+             (fun (block, data) version ->
+               observe t Write block ~invoked ~payload:(Some data) (Ok version))
+             writes versions
+       | Error e ->
+           List.iter
+             (fun (block, data) -> observe t Write block ~invoked ~payload:(Some data) (Error e))
+             writes);
+    remember t result;
+    Result.is_ok result
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Asynchronous operations with admission control                      *)
 (* ------------------------------------------------------------------ *)
 
 let admit t = match t.admission with Some limit -> t.in_flight < limit | None -> true
-
-let op_deadline t =
-  Option.map
-    (fun b -> Sim.Engine.now (Cluster.engine t.cluster) +. b)
-    (Driver_stub.deadline_budget t.stub)
 
 (* Classify each settled async operation into exactly one degradation
    bucket, so the conservation identity covers the open-loop path too:
@@ -101,15 +215,11 @@ let op_deadline t =
 let finish_async t callback result =
   t.in_flight <- t.in_flight - 1;
   (match result with
-  | Ok _ ->
-      t.async_ok <- t.async_ok + 1;
-      t.last_error <- None
-  | Error reason ->
-      (match reason with
-      | Types.Overloaded -> t.async_rejected <- t.async_rejected + 1
-      | Types.Timed_out -> t.async_timeouts <- t.async_timeouts + 1
-      | _ -> t.async_failed <- t.async_failed + 1);
-      t.last_error <- Some reason);
+  | Ok _ -> t.async_ok <- t.async_ok + 1
+  | Error Types.Overloaded -> t.async_rejected <- t.async_rejected + 1
+  | Error Types.Timed_out -> t.async_timeouts <- t.async_timeouts + 1
+  | Error _ -> t.async_failed <- t.async_failed + 1);
+  remember t result;
   callback result
 
 let check_async t k name =
@@ -130,17 +240,14 @@ let submit_async t issue callback =
 let read_block_async t k callback =
   check_async t k "read_block_async";
   submit_async t
-    (fun finish ->
-      Cluster.read t.cluster ?deadline:(op_deadline t) ~site:(Driver_stub.home t.stub) ~block:k
-        finish)
+    (fun finish -> Cluster.read t.cluster ?deadline:(op_deadline t) ~site:t.home ~block:k finish)
     callback
 
 let write_block_async t k data callback =
   check_async t k "write_block_async";
   submit_async t
     (fun finish ->
-      Cluster.write t.cluster ?deadline:(op_deadline t) ~site:(Driver_stub.home t.stub) ~block:k
-        data finish)
+      Cluster.write t.cluster ?deadline:(op_deadline t) ~site:t.home ~block:k data finish)
     callback
 
 (* ------------------------------------------------------------------ *)
@@ -175,17 +282,17 @@ type degradation = {
 }
 
 let degradation t =
-  let s = Driver_stub.retry_stats t.stub in
+  let s = t.stats in
   {
-    requests = Driver_stub.requests t.stub + t.async_ops + t.shed;
-    site_attempts = Driver_stub.site_attempts t.stub + t.async_ops;
-    failovers = Driver_stub.failovers t.stub;
+    requests = Retry.operations s + t.async_ops + t.shed;
+    site_attempts = t.site_attempts + t.async_ops;
+    failovers = t.failovers;
     retries = Retry.retries s;
     succeeded = Retry.succeeded s + t.async_ok;
     recovered = Retry.recovered s;
     timeouts = Retry.timeouts s + t.async_timeouts;
     gave_up = Retry.gave_up s + t.async_failed;
-    rejected = Retry.rejected s + t.async_rejected;
+    rejected = t.async_rejected;
     shed = t.shed;
     hedged = Cluster.hedged t.cluster;
     hedge_wins = Cluster.hedge_wins t.cluster;
@@ -208,17 +315,3 @@ let degradation_conserved d =
 
 let wire_conserved d =
   d.corrupted_deliveries = d.corrupt_rejected + d.corrupt_quarantined + d.corrupt_survived
-
-let pp_degradation ppf d =
-  Format.fprintf ppf
-    "@[<v>degradation: %d requests (%d ok), %d site attempts, %d failovers@,\
-     %d retries (%d recovered), %d deadline timeouts, %d gave up, %d rejected, %d shed@,\
-     %d hedged (%d wins), %d breaker trips, %d messages shed, %d faults injected@,\
-     wire: %d frames rejected, %d quarantined (%d trips), %d retransmitted; \
-     %d corrupted = %d rejected + %d quarantined + %d survived"
-    d.requests d.succeeded d.site_attempts d.failovers d.retries d.recovered d.timeouts d.gave_up
-    d.rejected d.shed d.hedged d.hedge_wins d.breaker_trips d.messages_shed d.faults_injected
-    d.frames_rejected d.frames_quarantined d.quarantine_trips d.frames_retransmitted
-    d.corrupted_deliveries d.corrupt_rejected d.corrupt_quarantined d.corrupt_survived;
-  List.iter (fun (at, msg) -> Format.fprintf ppf "@,  t=%-10.3f %s" at msg) (List.rev d.last_errors);
-  Format.fprintf ppf "@]"

@@ -1,23 +1,10 @@
-type jitter = No_jitter | Decorrelated
-
 type policy = {
   max_attempts : int;
   base_delay : float;
   multiplier : float;
   max_delay : float;
   deadline : float;
-  jitter : jitter;
 }
-
-let no_retry =
-  {
-    max_attempts = 1;
-    base_delay = 0.0;
-    multiplier = 1.0;
-    max_delay = 0.0;
-    deadline = infinity;
-    jitter = No_jitter;
-  }
 
 let default_policy ?(unit = 4.0) () =
   if unit <= 0.0 then invalid_arg "Retry.default_policy: unit must be positive";
@@ -27,7 +14,6 @@ let default_policy ?(unit = 4.0) () =
     multiplier = 2.0;
     max_delay = 16.0 *. unit;
     deadline = 64.0 *. unit;
-    jitter = No_jitter;
   }
 
 let validate p =
@@ -43,17 +29,6 @@ let backoff p ~attempt =
   (* Delay before attempt [attempt + 1]; attempt is 1-based. *)
   Float.min p.max_delay (p.base_delay *. (p.multiplier ** float_of_int (attempt - 1)))
 
-let backoff_jittered p ~rng ~prev =
-  (* Decorrelated jitter: draw uniformly from [base, prev * 3], clamped to
-     the policy's [base_delay, max_delay] envelope.  The sequence is seeded
-     by the caller's [rng], so runs stay deterministic in the seed. *)
-  let hi = prev *. 3.0 in
-  let d =
-    if hi <= p.base_delay then p.base_delay
-    else p.base_delay +. Random.State.float rng (hi -. p.base_delay)
-  in
-  Float.max p.base_delay (Float.min p.max_delay d)
-
 type stats = {
   mutable operations : int;
   mutable attempts : int;
@@ -62,13 +37,12 @@ type stats = {
   mutable recovered : int;
   mutable timeouts : int;
   mutable gave_up : int;
-  mutable rejected : int;
   mutable last_errors : (float * string) list;
-  error_window : int;
 }
 
-let create_stats ?(error_window = 8) () =
-  if error_window < 0 then invalid_arg "Retry.create_stats: negative error window";
+let error_window = 8
+
+let create_stats () =
   {
     operations = 0;
     attempts = 0;
@@ -77,9 +51,7 @@ let create_stats ?(error_window = 8) () =
     recovered = 0;
     timeouts = 0;
     gave_up = 0;
-    rejected = 0;
     last_errors = [];
-    error_window;
   }
 
 let operations s = s.operations
@@ -89,34 +61,25 @@ let succeeded s = s.succeeded
 let recovered s = s.recovered
 let timeouts s = s.timeouts
 let gave_up s = s.gave_up
-let rejected s = s.rejected
 let last_errors s = s.last_errors
 
-let conserved s = s.operations = s.succeeded + s.timeouts + s.gave_up + s.rejected
+let conserved s = s.operations = s.succeeded + s.timeouts + s.gave_up
 
 let record_error s ~at reason =
-  if s.error_window > 0 then begin
-    let keep = List.filteri (fun i _ -> i < s.error_window - 1) s.last_errors in
-    s.last_errors <- (at, Types.failure_reason_to_string reason) :: keep
-  end
+  let keep = List.filteri (fun i _ -> i < error_window - 1) s.last_errors in
+  s.last_errors <- (at, Types.failure_reason_to_string reason) :: keep
 
 (* Everything the cluster can report is potentially transient once the wire
    is lossy: a dropped vote costs the quorum, a dropped transfer times the
-   pull out, a dying coordinator looks locally unavailable.  The policy's
-   attempt/deadline bounds keep genuinely persistent outages from spinning. *)
-let transient (_ : Types.failure_reason) = true
-
-let run policy ~engine ~stats ?rng ?(retryable = transient) f =
+   pull out, a dying coordinator looks locally unavailable.  So every error
+   is retried, and the attempt and time bounds keep genuinely persistent
+   outages from spinning.  Both time bounds are tested before the backoff
+   is slept: a retry that could only start past them is never waited for. *)
+let run policy ~engine ~stats ?deadline f =
   (match validate policy with Ok _ -> () | Error e -> invalid_arg ("Retry.run: " ^ e));
-  (* A decorrelated-jitter policy without an rng used to fall back silently
-     to the deterministic schedule — callers believed their retriers were
-     spread apart when they were colliding.  Refuse the combination. *)
-  (match (policy.jitter, rng) with
-  | Decorrelated, None -> invalid_arg "Retry.run: jitter = Decorrelated requires ~rng"
-  | Decorrelated, Some _ | No_jitter, _ -> ());
   let start = Sim.Engine.now engine in
   stats.operations <- stats.operations + 1;
-  let rec go attempt ~prev_delay =
+  let rec go attempt =
     stats.attempts <- stats.attempts + 1;
     match f ~attempt with
     | Ok _ as ok ->
@@ -125,40 +88,23 @@ let run policy ~engine ~stats ?rng ?(retryable = transient) f =
         ok
     | Error reason as err ->
         record_error stats ~at:(Sim.Engine.now engine) reason;
-        if not (retryable reason) then begin
-          stats.rejected <- stats.rejected + 1;
-          err
-        end
-        else if attempt >= policy.max_attempts then begin
+        if attempt >= policy.max_attempts then begin
           stats.gave_up <- stats.gave_up + 1;
           err
         end
         else begin
-          let delay =
-            match (policy.jitter, rng) with
-            | Decorrelated, Some rng -> backoff_jittered policy ~rng ~prev:prev_delay
-            (* Decorrelated-without-rng was rejected at entry, so this arm
-               only ever fires for No_jitter. *)
-            | Decorrelated, None | No_jitter, _ -> backoff policy ~attempt
-          in
+          let delay = backoff policy ~attempt in
           let now = Sim.Engine.now engine in
-          if now +. delay -. start > policy.deadline then begin
+          let past_op_deadline = match deadline with None -> false | Some d -> now +. delay >= d in
+          if now +. delay -. start > policy.deadline || past_op_deadline then begin
             stats.timeouts <- stats.timeouts + 1;
             err
           end
           else begin
             stats.retries <- stats.retries + 1;
             Sim.Engine.run_until engine (now +. delay);
-            go (attempt + 1) ~prev_delay:delay
+            go (attempt + 1)
           end
         end
   in
-  go 1 ~prev_delay:policy.base_delay
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[<v>retry stats: %d ops (%d ok), %d attempts (%d retries), %d recovered, %d deadline timeouts, \
-     %d gave up, %d rejected"
-    s.operations s.succeeded s.attempts s.retries s.recovered s.timeouts s.gave_up s.rejected;
-  List.iter (fun (at, msg) -> Format.fprintf ppf "@,  t=%-10.3f %s" at msg) (List.rev s.last_errors);
-  Format.fprintf ppf "@]"
+  go 1

@@ -7,24 +7,13 @@
     retry loop: between attempts it {e advances the simulation engine} by
     the backoff delay, so retries consume virtual time exactly like any
     other protocol activity, and every run remains deterministic in the
-    seed.
+    seed.  The backoff schedule is deterministic: no random draw is ever
+    taken here.
 
     Degradation is observable: a shared {!stats} record counts attempts,
     retries, recoveries, deadline timeouts and abandoned operations, and
     keeps a bounded window of the most recent errors — surfaced through
     [Reliable_device.degradation] and [Report.Degradation]. *)
-
-type jitter =
-  | No_jitter  (** deterministic exponential backoff (the default) *)
-  | Decorrelated
-      (** decorrelated jitter: each delay is drawn uniformly from
-          [[base_delay, 3 * previous delay]], clamped to the policy's
-          [[base_delay, max_delay]] envelope.  Spreads simultaneous
-          retriers apart so they stop colliding on the same quorum round.
-          Requires the caller to pass [?rng] to {!run}: the combination
-          without one is rejected ([Invalid_argument]) rather than
-          silently degrading to the deterministic schedule, which would
-          let supposedly-decorrelated retriers collide. *)
 
 type policy = {
   max_attempts : int;  (** total tries, including the first (>= 1) *)
@@ -34,11 +23,7 @@ type policy = {
   deadline : float;
       (** total virtual-time budget measured from the first attempt; a
           retry that would start beyond it is not issued *)
-  jitter : jitter;  (** randomisation of the backoff schedule *)
 }
-
-val no_retry : policy
-(** One attempt, no backoff: the paper's original fail-fast behaviour. *)
 
 val default_policy : ?unit:float -> unit -> policy
 (** Six attempts, backoff [unit, 2 unit, 4 unit, ...] capped at [16 unit],
@@ -50,18 +35,12 @@ val validate : policy -> (policy, string) result
 val backoff : policy -> attempt:int -> float
 (** Backoff scheduled after failed attempt number [attempt] (1-based). *)
 
-val backoff_jittered : policy -> rng:Random.State.t -> prev:float -> float
-(** One decorrelated-jitter delay given the previous delay (seed the chain
-    with [base_delay]).  Always within [[base_delay, max_delay]] whatever
-    [rng] draws — the property the unit tests pin down. *)
-
 (** {1 Degradation statistics} *)
 
 type stats
 
-val create_stats : ?error_window:int -> unit -> stats
-(** A fresh, all-zero record keeping up to [error_window] (default 8)
-    recent errors. *)
+val create_stats : unit -> stats
+(** A fresh, all-zero record keeping the 8 most recent errors. *)
 
 val operations : stats -> int
 (** Operations submitted to {!run}. *)
@@ -80,45 +59,36 @@ val recovered : stats -> int
     [recovered <= succeeded]. *)
 
 val timeouts : stats -> int
-(** Operations abandoned because the deadline budget ran out. *)
+(** Operations abandoned because the next attempt would have started past
+    the policy's budget or the operation's deadline. *)
 
 val gave_up : stats -> int
 (** Operations abandoned after exhausting [max_attempts]. *)
 
-val rejected : stats -> int
-(** Operations abandoned because the [retryable] predicate refused their
-    error (with the default {!transient} predicate this stays 0). *)
-
 val conserved : stats -> bool
 (** Counter conservation: with no operation in flight, every operation
     submitted to {!run} terminated exactly one way —
-    [operations = succeeded + timeouts + gave_up + rejected]. *)
+    [operations = succeeded + timeouts + gave_up]. *)
 
 val last_errors : stats -> (float * string) list
 (** Most recent first: (virtual time, failure reason) of failed attempts. *)
 
-val pp_stats : Format.formatter -> stats -> unit
-
 (** {1 Running} *)
-
-val transient : Types.failure_reason -> bool
-(** The default retryable predicate: every failure reason is treated as
-    potentially transient (under a lossy network each one can be), with the
-    policy's bounds containing persistent outages. *)
 
 val run :
   policy ->
   engine:Sim.Engine.t ->
   stats:stats ->
-  ?rng:Random.State.t ->
-  ?retryable:(Types.failure_reason -> bool) ->
+  ?deadline:float ->
   (attempt:int -> ('a, Types.failure_reason) result) ->
   ('a, Types.failure_reason) result
-(** [run policy ~engine ~stats f] calls [f ~attempt:1], and on a retryable
-    error backs off (driving [engine] forward by the delay) and tries
-    again, up to the policy's attempt and deadline bounds.  Returns the
-    first success or the last error.  With [jitter = Decorrelated],
-    delays follow the decorrelated-jitter chain seeded by the mandatory
-    [rng] — omitting it raises [Invalid_argument] (it used to fall back
-    silently to the deterministic schedule).  Raises [Invalid_argument]
-    on an invalid policy. *)
+(** [run policy ~engine ~stats f] calls [f ~attempt:1], and on an error
+    backs off (driving [engine] forward by the delay) and tries again, up
+    to the policy's attempt and budget bounds.  Every failure reason is
+    retried: under a lossy network each one can be transient, and the
+    bounds contain persistent outages.  [deadline] is the operation's
+    absolute virtual-time deadline: a retry that would start at or past it
+    is not issued, since every round it opened would be refused (see
+    {!Runtime.past_deadline}).  Either bound counts a timeout.  Returns
+    the first success or the last error.  Raises [Invalid_argument] on an
+    invalid policy. *)

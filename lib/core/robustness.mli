@@ -1,7 +1,7 @@
 (** The client-side robustness stack's switchboard.
 
-    One record collects the four tail-latency defences so that a cluster,
-    stub or device can be built with any subset on.  {!off} — every field
+    One record collects the four tail-latency defences so that a cluster
+    or device can be built with any subset on.  {!off} — every field
     disabled — is the construction-time default throughout, and is
     guaranteed bit-identical to the pre-robustness code paths: no extra
     rng draws, no extra events, no wire-traffic change (the twin-run test
@@ -27,7 +27,7 @@ type t = {
           clamp their timeouts to it and refuse to start past it *)
   op_budget : float option;
       (** per-operation wall budget (virtual time) measured from the
-          moment the stub accepts the operation; [None] with [deadlines]
+          moment the device accepts the operation; [None] with [deadlines]
           on falls back to the retry policy's deadline.  Requires
           [deadlines = true]. *)
   hedge : hedge option;

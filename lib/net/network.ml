@@ -133,12 +133,12 @@ module Make (P : PAYLOAD) = struct
         Sim.Server.flood srv ~count ~cost:(Service_model.cost_of model Message.Block_request rng)
     | _ -> ()
 
-  let submit_client t ~site work =
+  let submit_client t ~site ~drop work =
     check_site t site "submit_client";
     match (t.service, t.servers.(site)) with
     | Some (model, rng), Some srv ->
         let cost = Service_model.client_cost model rng in
-        if Sim.Server.submit srv ~cost work then `Queued else `Shed
+        if Sim.Server.submit srv ~cost ~drop work then `Queued else `Shed
     | _ -> `Direct
 
   let total_shed t =
@@ -154,8 +154,19 @@ module Make (P : PAYLOAD) = struct
     check_site t id "set_up";
     t.up.(id) <- up;
     (* Fail-stop kills the site's processor with the site: everything
-       queued (and the job in service) dies unserved. *)
-    if not up then match t.servers.(id) with Some srv -> Sim.Server.clear srv | None -> ()
+       queued (and the job in service) dies unserved.  A client operation
+       still has a caller waiting, so its drop continuation answers on the
+       next tick, once the failure itself has completed. *)
+    if not up then
+      match t.servers.(id) with
+      | Some srv -> (
+          match Sim.Server.clear srv with
+          | [] -> ()
+          | drops ->
+              ignore
+                (Sim.Engine.schedule t.engine ~delay:0.0 (fun () -> List.iter (fun drop -> drop ()) drops)
+                  : Sim.Engine.handle))
+      | None -> ()
 
   let is_up t id =
     check_site t id "is_up";

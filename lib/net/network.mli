@@ -152,11 +152,15 @@ module Make (P : PAYLOAD) : sig
   (** Stuff [count] no-op jobs into a site's queue (the [queue-flood]
       chaos event); overflow sheds.  No-op without a service model. *)
 
-  val submit_client : t -> site:int -> (unit -> unit) -> [ `Direct | `Queued | `Shed ]
+  val submit_client :
+    t -> site:int -> drop:(unit -> unit) -> (unit -> unit) -> [ `Direct | `Queued | `Shed ]
   (** Admit one client operation at a site.  [`Direct]: no service model —
       the caller must run the work itself, synchronously (legacy path).
-      [`Queued]: accepted; the work fires when the processor reaches it.
-      [`Shed]: queue full, work refused and never run. *)
+      [`Queued]: accepted; the work fires when the processor reaches it,
+      or, if the site goes down first, [drop] fires instead on the next
+      tick after the failure (see {!set_up}), so the operation is answered
+      exactly once either way.  [`Shed]: queue full, work refused and
+      never run; neither continuation is called. *)
 
   val total_shed : t -> int
   (** Jobs shed across all site queues (messages and client admissions). *)
@@ -168,7 +172,10 @@ module Make (P : PAYLOAD) : sig
   val set_up : t -> int -> bool -> unit
   (** Mark a site up or down.  A down site receives nothing: messages
       addressed to it while down never materialise, and messages already in
-      flight when it goes down are dropped at delivery time. *)
+      flight when it goes down are dropped at delivery time.  Taking a site
+      down empties its work queue; the [drop] continuations of the client
+      operations it held fire together in one event on the next tick, and
+      nothing is scheduled when only message jobs were queued. *)
 
   val is_up : t -> int -> bool
 

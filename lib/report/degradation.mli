@@ -3,7 +3,7 @@
     The fault-injection studies need the same answer in three shapes: a
     structured record (for assertions), an aligned text table (for the CLI
     and examples) and CSV (for external plotting).  One {!summary} row per
-    device, combining the stub's request/failover counters, the retry
+    device, combining its request/failover counters, the retry
     layer's degradation counts, the robustness stack's overload counters
     (shed, hedged, breaker trips), per-site work-queue load and the
     network injector's per-category fault totals. *)

@@ -1,10 +1,11 @@
-type job = { work : unit -> unit; cost : float; enqueued_at : float }
+type job = { work : unit -> unit; drop : (unit -> unit) option; cost : float; enqueued_at : float }
 
 type t = {
   engine : Engine.t;
   capacity : int;
   queue : job Queue.t;
   mutable in_service : Engine.handle option;
+  mutable in_service_drop : (unit -> unit) option;
   mutable rate_factor : float;
   mutable submitted : int;
   mutable served : int;
@@ -21,6 +22,7 @@ let create engine ~capacity =
     capacity;
     queue = Queue.create ();
     in_service = None;
+    in_service_drop = None;
     rate_factor = 1.0;
     submitted = 0;
     served = 0;
@@ -40,10 +42,12 @@ let depth t = Queue.length t.queue + if busy t then 1 else 0
    whole backlog), and the knob can be flipped both ways by chaos events. *)
 let rec start_service t (job : job) =
   let delay = job.cost *. t.rate_factor in
+  t.in_service_drop <- job.drop;
   t.in_service <-
     Some
       (Engine.schedule t.engine ~delay (fun () ->
            t.in_service <- None;
+           t.in_service_drop <- None;
            t.served <- t.served + 1;
            Util.Stats.add t.sojourn (Engine.now t.engine -. job.enqueued_at);
            job.work ();
@@ -54,7 +58,7 @@ let rec start_service t (job : job) =
              | Some next -> start_service t next
              | None -> ()))
 
-let submit t ~cost work =
+let submit t ~cost ?drop work =
   if cost < 0.0 then invalid_arg "Server.submit: negative cost";
   if busy t && Queue.length t.queue >= t.capacity then begin
     t.shed <- t.shed + 1;
@@ -63,7 +67,7 @@ let submit t ~cost work =
   else begin
     t.submitted <- t.submitted + 1;
     Util.Stats.Histogram.add t.depth_hist (float_of_int (depth t));
-    let job = { work; cost; enqueued_at = Engine.now t.engine } in
+    let job = { work; drop; cost; enqueued_at = Engine.now t.engine } in
     if busy t then Queue.add job t.queue else start_service t job;
     true
   end
@@ -74,14 +78,24 @@ let set_rate_factor t f =
 
 let rate_factor t = t.rate_factor
 
+(* The destroyed jobs' drop continuations, in submission order: the job
+   in service first, then the waiting room front to back. *)
 let clear t =
   t.dropped <- t.dropped + depth t;
+  let waiting =
+    Queue.fold (fun acc job -> match job.drop with Some d -> d :: acc | None -> acc) [] t.queue
+  in
+  let drops =
+    match t.in_service_drop with Some d -> d :: List.rev waiting | None -> List.rev waiting
+  in
   Queue.clear t.queue;
-  match t.in_service with
+  (match t.in_service with
   | Some h ->
       Engine.cancel t.engine h;
       t.in_service <- None
-  | None -> ()
+  | None -> ());
+  t.in_service_drop <- None;
+  drops
 
 let flood t ~count ~cost =
   if count < 0 then invalid_arg "Server.flood: negative count";

@@ -19,11 +19,13 @@ val create : Engine.t -> capacity:int -> t
     (the job in service is not counted against it).  [capacity >= 1] or
     [Invalid_argument]. *)
 
-val submit : t -> cost:float -> (unit -> unit) -> bool
+val submit : t -> cost:float -> ?drop:(unit -> unit) -> (unit -> unit) -> bool
 (** [submit t ~cost work] enqueues a job whose effects ([work]) fire when
     its service completes, [cost *. rate_factor] after it reaches the head
     of the queue.  Returns [false] — and counts a shed — when the waiting
-    room is full; the job then never runs. *)
+    room is full; the job then never runs.  [drop] marks a job that has a
+    caller waiting on it (a client operation): {!clear} hands it back, so
+    the caller can be answered, instead of destroying the job silently. *)
 
 val set_rate_factor : t -> float -> unit
 (** Service-time multiplier, applied as each job {e starts} service (the
@@ -32,10 +34,12 @@ val set_rate_factor : t -> float -> unit
 
 val rate_factor : t -> float
 
-val clear : t -> unit
+val clear : t -> (unit -> unit) list
 (** Drop every queued job and cancel the one in service (their [work]
     never runs); the drops are counted in {!dropped}, not {!shed}.  Used
-    when the owning site fail-stops: queued work dies with the machine. *)
+    when the owning site fail-stops: queued work dies with the machine.
+    Returns the [drop] continuations of the destroyed jobs that carried
+    one, in submission order, without calling them. *)
 
 val flood : t -> count:int -> cost:float -> unit
 (** Inject [count] no-op jobs of the given cost — an adversarial burst

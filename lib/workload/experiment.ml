@@ -99,7 +99,7 @@ type amortization_sample = {
 }
 
 (* Group-commit amortization: push [groups] batches of [batch] distinct
-   blocks through the driver stub and charge the Write-operation traffic
+   blocks through the reliable device and charge the Write-operation traffic
    to the blocks committed.  batch = 1 goes down the unbatched path, so
    the batch-1 row doubles as the historical baseline. *)
 let measure_batch_amortization ~scheme ~n_sites ~env ~batch ?(groups = 100) ?(seed = 31) () =
@@ -107,7 +107,6 @@ let measure_batch_amortization ~scheme ~n_sites ~env ~batch ?(groups = 100) ?(se
   let n_blocks = max 64 batch in
   let config = Blockrep.Config.make_exn ~scheme ~n_sites ~n_blocks ~net_mode:env ~seed () in
   let device = Blockrep.Reliable_device.of_config config in
-  let stub = Blockrep.Reliable_device.stub device in
   let traffic = Blockrep.Cluster.traffic (Blockrep.Reliable_device.cluster device) in
   let msgs0 = Net.Traffic.by_operation traffic Net.Message.Write in
   let bytes0 = Net.Traffic.bytes_by_operation traffic Net.Message.Write in
@@ -117,7 +116,7 @@ let measure_batch_amortization ~scheme ~n_sites ~env ~batch ?(groups = 100) ?(se
       List.init batch (fun i ->
           ((base + i) mod n_blocks, Blockdev.Block.of_string (Printf.sprintf "g%d.%d" g i)))
     in
-    ignore (Blockrep.Driver_stub.write_blocks stub writes : Blockrep.Types.batch_write_result)
+    ignore (Blockrep.Reliable_device.write_blocks device writes : bool)
   done;
   let blocks = groups * batch in
   let write_messages = Net.Traffic.by_operation traffic Net.Message.Write - msgs0 in

@@ -92,7 +92,7 @@ val measure_batch_amortization :
   unit ->
   amortization_sample
 (** Failure-free group-commit run: [groups] batches (default 100) of
-    [batch] distinct blocks each, written through the driver stub's
+    [batch] distinct blocks each, written through the reliable device's
     batched path, measuring Write transmissions and payload bytes per
     committed block.  [batch = 1] takes the unbatched
     single-block path and is the baseline the larger batches amortize

@@ -31,7 +31,7 @@ val run_closed_loop :
   ops:int ->
   results
 (** Issue [ops] operations one after another from [site], each waiting for
-    the previous to settle (the driver-stub usage pattern).  Operations
+    the previous to settle (the reliable device's usage pattern).  Operations
     failing because the site is down are counted as failures and the run
     continues — with an attached failure generator the site may well be
     down for a while.  [observe] (default: nothing) is called with each

@@ -1,5 +1,5 @@
-(* Group commit: batched writes through the cluster, the driver stub and
-   the reliable device, batch-1 equivalence with the single-block path,
+(* Group commit: batched writes through the cluster and the reliable
+   device, batch-1 equivalence with the single-block path,
    the amortization payoff, and a chaos sweep showing the batched path
    introduces no new violation classes. *)
 
@@ -104,67 +104,61 @@ let test_batch_amortizes_write_traffic () =
     (b * 4 <= s)
 
 (* ------------------------------------------------------------------ *)
-(* Driver stub batched forwarding                                      *)
+(* Reliable device batched forwarding                                  *)
 (* ------------------------------------------------------------------ *)
 
+module Device = Blockrep.Reliable_device
+
 let test_stub_batch_roundtrip_and_counters () =
-  let cluster = mk ~scheme:Blockrep.Types.Available_copy () in
-  let stub = Blockrep.Driver_stub.create cluster in
+  let dev = Device.create (mk ~scheme:Blockrep.Types.Available_copy ()) in
+  let versions = ref 0 in
+  Device.add_observer dev (fun v ->
+      if v.Device.kind = Device.Write && v.Device.version <> None then incr versions);
   let writes = payloads 4 in
-  (match Blockrep.Driver_stub.write_blocks stub writes with
-  | Ok versions -> Alcotest.(check int) "four versions" 4 (List.length versions)
-  | Error e -> Alcotest.failf "stub batch write: %s" (Blockrep.Types.failure_reason_to_string e));
+  Alcotest.(check bool) "batch committed" true (Device.write_blocks dev writes);
+  Alcotest.(check int) "four versions" 4 !versions;
   List.iter
     (fun (block, data) ->
-      match Blockrep.Driver_stub.read_block stub block with
-      | Ok (read, _) ->
+      match Device.read_block dev block with
+      | Some read ->
           Alcotest.(check bool) (Printf.sprintf "block %d back" block) true (Block.equal read data)
-      | Error e -> Alcotest.failf "stub read: %s" (Blockrep.Types.failure_reason_to_string e))
+      | None -> Alcotest.failf "device read of block %d failed" block)
     writes;
-  Alcotest.(check int) "one batched request" 1 (Blockrep.Driver_stub.batch_requests stub);
-  Alcotest.(check int) "four batched blocks" 4 (Blockrep.Driver_stub.batched_blocks stub);
-  Alcotest.(check int) "the batch and 4 reads are requests" 5 (Blockrep.Driver_stub.requests stub)
+  Alcotest.(check int) "the batch and 4 reads are requests" 5 (Device.degradation dev).requests
 
 let test_stub_batch_fails_over () =
   (* Home down: the whole batch fails over in one rotation. *)
   let cluster = mk ~scheme:Blockrep.Types.Available_copy () in
-  let stub = Blockrep.Driver_stub.create cluster in
+  let dev = Device.create cluster in
+  let served = ref [] in
+  Device.add_observer dev (fun v -> served := v.Device.site :: !served);
   Blockrep.Cluster.fail_site cluster 0;
   Blockrep.Cluster.run_until cluster 1.0;
-  (match Blockrep.Driver_stub.write_blocks stub (payloads 4) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "batch should fail over: %s" (Blockrep.Types.failure_reason_to_string e));
-  Alcotest.(check bool) "failover happened" true (Blockrep.Driver_stub.failovers stub >= 1);
-  Alcotest.(check bool) "served off-home" true (Blockrep.Driver_stub.last_served stub <> 0)
+  Alcotest.(check bool) "batch fails over" true (Device.write_blocks dev (payloads 4));
+  Alcotest.(check bool) "failover happened" true ((Device.degradation dev).failovers >= 1);
+  Alcotest.(check bool) "served off-home" true
+    (!served <> [] && List.for_all (fun site -> site <> 0) !served)
 
 let test_stub_observers_per_block () =
-  let cluster = mk ~scheme:Blockrep.Types.Voting () in
-  let stub = Blockrep.Driver_stub.create cluster in
+  let dev = Device.create (mk ~scheme:Blockrep.Types.Voting ()) in
   let events = ref 0 in
-  Blockrep.Driver_stub.add_observer stub (fun _ -> incr events);
-  ignore (Blockrep.Driver_stub.write_blocks stub (payloads 5));
+  Device.add_observer dev (fun _ -> incr events);
+  ignore (Device.write_blocks dev (payloads 5) : bool);
   Alcotest.(check int) "one client-visible event per block" 5 !events
 
 let test_duplicate_ids_refused_uncounted () =
   (* A repeated id makes a malformed batch, like an out-of-range one: the
-     device answers false and the stub raises, both before any counter
-     moves, so the degradation identity still balances. *)
+     device answers false before any counter moves, so the degradation
+     identity still balances. *)
   let cluster = mk ~scheme:Blockrep.Types.Available_copy () in
-  let dev = Blockrep.Reliable_device.create cluster in
+  let dev = Device.create cluster in
   let x = Block.of_string "x" in
-  Alcotest.(check bool) "device refuses the batch" false
-    (Blockrep.Reliable_device.write_blocks dev [ (1, x); (1, x) ]);
-  Alcotest.(check bool) "stub raises" true
-    (try
-       ignore (Blockrep.Driver_stub.write_blocks (Blockrep.Reliable_device.stub dev) [ (2, x); (2, x) ]);
-       false
-     with Invalid_argument _ -> true);
-  let d = Blockrep.Reliable_device.degradation dev in
-  Alcotest.(check int) "no request counted" 0 d.Blockrep.Reliable_device.requests;
-  Alcotest.(check bool) "degradation conserved" true
-    (Blockrep.Reliable_device.degradation_conserved d);
-  Alcotest.(check (list int)) "nothing written" [ 0; 0 ]
-    (List.map (fun block -> Blockrep.Cluster.effective_version cluster ~site:0 ~block) [ 1; 2 ])
+  Alcotest.(check bool) "device refuses the batch" false (Device.write_blocks dev [ (1, x); (1, x) ]);
+  let d = Device.degradation dev in
+  Alcotest.(check int) "no request counted" 0 d.Device.requests;
+  Alcotest.(check bool) "degradation conserved" true (Device.degradation_conserved d);
+  Alcotest.(check (list int)) "nothing written" [ 0 ]
+    (List.map (fun block -> Blockrep.Cluster.effective_version cluster ~site:0 ~block) [ 1 ])
 
 (* ------------------------------------------------------------------ *)
 (* Amortization (the acceptance criterion)                             *)

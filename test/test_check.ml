@@ -117,11 +117,11 @@ let test_oracle_non_sequential () =
 (* History instrumentation                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_history_attach_stub () =
+let test_history_attach () =
   let config = Blockrep.Config.make_exn ~scheme:Types.Naive_available_copy ~n_sites:3 ~n_blocks:4 () in
   let device = Blockrep.Reliable_device.of_config config in
   let h = History.create () in
-  History.attach_stub h (Blockrep.Reliable_device.stub device);
+  History.attach h device;
   Alcotest.(check bool) "write ok" true (Blockrep.Reliable_device.write_block device 1 (block "x"));
   Alcotest.(check bool) "read ok" true (Blockrep.Reliable_device.read_block device 1 <> None);
   let entries = History.entries h in
@@ -523,7 +523,7 @@ let () =
           Alcotest.test_case "baseline" `Quick test_oracle_baseline;
           Alcotest.test_case "non-sequential" `Quick test_oracle_non_sequential;
         ] );
-      ("history", [ Alcotest.test_case "attach stub" `Quick test_history_attach_stub ]);
+      ("history", [ Alcotest.test_case "attach stub" `Quick test_history_attach ]);
       ( "invariants",
         [
           Alcotest.test_case "healthy clusters" `Quick test_invariant_healthy;

@@ -1,9 +1,8 @@
-(* Tests for the reliable-device layer: Driver_stub and Reliable_device. *)
+(* Tests for the reliable device and its request forwarding. *)
 
 module Cluster = Blockrep.Cluster
 module Types = Blockrep.Types
 module Device = Blockrep.Reliable_device
-module Stub = Blockrep.Driver_stub
 module Block = Blockdev.Block
 
 let make_device ?(scheme = Types.Naive_available_copy) ?(n = 3) ?(blocks = 16) () =
@@ -21,7 +20,7 @@ let test_device_rw () =
   | None -> Alcotest.fail "read failed"
 
 let test_device_read_your_writes () =
-  (* The stub pins a home site, so even fire-and-forget NAC writes are
+  (* The device pins a home site, so even fire-and-forget NAC writes are
      immediately readable through the device interface. *)
   let d = make_device ~scheme:Types.Naive_available_copy () in
   for i = 0 to 9 do
@@ -37,31 +36,31 @@ let test_device_bounds () =
   Alcotest.(check bool) "read oob" true (Device.read_block d 8 = None);
   Alcotest.(check bool) "write oob" false (Device.write_block d (-1) Block.zero)
 
-let test_stub_failover () =
+let test_read_failover () =
   let d = make_device () in
   let c = Device.cluster d in
   assert (Device.write_block d 0 (Block.of_string "seed"));
   (* Let the fire-and-forget propagation land on the other replicas before
      the home site dies. *)
   Cluster.run_until c (Sim.Engine.now (Cluster.engine c) +. 10.0);
-  Alcotest.(check int) "home is 0" 0 (Stub.home (Device.stub d));
+  Alcotest.(check int) "home is 0" 0 (Device.home d);
   Cluster.fail_site c 0;
   (match Device.read_block d 0 with
   | Some b -> Alcotest.(check string) "served after failover" "seed" (String.sub (Block.to_string b) 0 4)
   | None -> Alcotest.fail "failover read failed");
-  Alcotest.(check int) "home does not migrate" 0 (Stub.home (Device.stub d));
-  Alcotest.(check bool) "failovers counted" true (Stub.failovers (Device.stub d) >= 1)
+  Alcotest.(check int) "home does not migrate" 0 (Device.home d);
+  Alcotest.(check bool) "failovers counted" true ((Device.degradation d).failovers >= 1)
 
-let test_stub_failover_writes () =
+let test_write_failover () =
   let d = make_device () in
   let c = Device.cluster d in
   Cluster.fail_site c 0;
   Cluster.fail_site c 1;
   Alcotest.(check bool) "write lands on the survivor" true
     (Device.write_block d 5 (Block.of_string "survivor"));
-  Alcotest.(check int) "home stays put through failover" 0 (Stub.home (Device.stub d))
+  Alcotest.(check int) "home stays put through failover" 0 (Device.home d)
 
-let test_stub_home_service_resumes () =
+let test_home_service_resumes () =
   (* The bug: a transient [Site_not_available] at the home site migrated
      [home] permanently, so the preferred site never got traffic back after
      repair.  Home is now sticky: once site 0 recovers, requests are served
@@ -74,7 +73,7 @@ let test_stub_home_service_resumes () =
   (match Device.read_block d 0 with
   | Some _ -> ()
   | None -> Alcotest.fail "read during outage failed");
-  let failovers_during_outage = Stub.failovers (Device.stub d) in
+  let failovers_during_outage = (Device.degradation d).failovers in
   Alcotest.(check bool) "outage caused failovers" true (failovers_during_outage >= 1);
   Cluster.repair_site c 0;
   Cluster.run_until c (Sim.Engine.now (Cluster.engine c) +. 10.0);
@@ -82,11 +81,11 @@ let test_stub_home_service_resumes () =
   (match Device.read_block d 1 with
   | Some b -> Alcotest.(check string) "served post-repair" "after" (String.sub (Block.to_string b) 0 5)
   | None -> Alcotest.fail "post-repair read failed");
-  Alcotest.(check int) "home unchanged" 0 (Stub.home (Device.stub d));
+  Alcotest.(check int) "home unchanged" 0 (Device.home d);
   Alcotest.(check int) "no failovers once home is back" failovers_during_outage
-    (Stub.failovers (Device.stub d))
+    ((Device.degradation d).failovers)
 
-let test_stub_retries_counted_separately () =
+let test_retries_counted_separately () =
   (* Retries used to be folded into [requests]; now each device operation
      counts once, and extra probing shows up in [site_attempts]. *)
   let d = make_device () in
@@ -94,9 +93,9 @@ let test_stub_retries_counted_separately () =
   Cluster.fail_site c 0;
   ignore (Device.write_block d 2 (Block.of_string "x"));
   ignore (Device.read_block d 2);
-  Alcotest.(check int) "one request per operation" 2 (Stub.requests (Device.stub d));
+  Alcotest.(check int) "one request per operation" 2 ((Device.degradation d).requests);
   Alcotest.(check bool) "site attempts exceed requests under failover" true
-    (Stub.site_attempts (Device.stub d) > Stub.requests (Device.stub d))
+    ((Device.degradation d).site_attempts > (Device.degradation d).requests)
 
 let test_total_failure_surfaces_error () =
   let d = make_device () in
@@ -130,19 +129,44 @@ let test_voting_device_under_partition () =
   let c = Device.cluster d in
   assert (Device.write_block d 0 (Block.of_string "pre"));
   Cluster.partition c [ [ 0; 1 ]; [ 2; 3; 4 ] ];
-  (* The stub (homed in the minority) walks every site; the majority side
-     is unreachable from the client's partition in reality, but the stub
+  (* The device (homed in the minority) walks every site; the majority side
+     is unreachable from the client's partition in reality, but the device
      models a client inside each partition as it rotates; what matters is
      that minority-side service refuses. *)
   match Cluster.write_sync c ~site:0 ~block:0 (Block.of_string "post") with
   | Error Types.No_quorum -> ()
   | _ -> Alcotest.fail "minority side accepted a write"
 
-let test_stub_request_counting () =
+let test_request_counting () =
   let d = make_device () in
   ignore (Device.write_block d 0 Block.zero);
   ignore (Device.read_block d 0);
-  Alcotest.(check bool) "requests counted" true (Stub.requests (Device.stub d) >= 2)
+  Alcotest.(check bool) "requests counted" true ((Device.degradation d).requests >= 2)
+
+let test_deadline_bounds_sync_retries () =
+  (* Regression: under deadlines a sync op slept its backoff past its
+     budget, issued another attempt past its deadline and was counted
+     rejected.  With sites 1 and 2 down a voting read at site 0 cannot
+     form a quorum and each attempt fails at once: the first at t = 0, the
+     retry after one backoff unit (op_timeout) at t = 4.  The next retry
+     would start at t = 12, past the t = 5 deadline, so the read must stop
+     at t = 4 and count one timeout. *)
+  let robustness = { Blockrep.Robustness.off with deadlines = true; op_budget = Some 5.0 } in
+  let d =
+    Device.of_config
+      (Blockrep.Config.make_exn ~scheme:Types.Voting ~n_sites:3 ~n_blocks:8 ~seed:404 ~robustness ())
+  in
+  let c = Device.cluster d in
+  Cluster.fail_site c 1;
+  Cluster.fail_site c 2;
+  Alcotest.(check bool) "read fails" true (Device.read_block d 0 = None);
+  Alcotest.(check (float 1e-9)) "answers before its deadline" 4.0
+    (Sim.Engine.now (Cluster.engine c));
+  let deg = Device.degradation d in
+  Alcotest.(check int) "one timeout" 1 deg.Device.timeouts;
+  Alcotest.(check int) "nothing rejected" 0 deg.Device.rejected;
+  Alcotest.(check int) "one retry, inside the budget" 1 deg.Device.retries;
+  Alcotest.(check bool) "conserved" true (Device.degradation_conserved deg)
 
 let () =
   Alcotest.run "device"
@@ -159,11 +183,13 @@ let () =
         ] );
       ( "driver-stub",
         [
-          Alcotest.test_case "read failover" `Quick test_stub_failover;
-          Alcotest.test_case "write failover" `Quick test_stub_failover_writes;
-          Alcotest.test_case "home service resumes" `Quick test_stub_home_service_resumes;
+          Alcotest.test_case "read failover" `Quick test_read_failover;
+          Alcotest.test_case "write failover" `Quick test_write_failover;
+          Alcotest.test_case "home service resumes" `Quick test_home_service_resumes;
           Alcotest.test_case "retries counted separately" `Quick
-            test_stub_retries_counted_separately;
-          Alcotest.test_case "request counting" `Quick test_stub_request_counting;
+            test_retries_counted_separately;
+          Alcotest.test_case "request counting" `Quick test_request_counting;
+          Alcotest.test_case "deadline bounds sync retries" `Quick
+            test_deadline_bounds_sync_retries;
         ] );
     ]

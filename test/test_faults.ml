@@ -175,75 +175,12 @@ let test_backoff_schedule () =
   Alcotest.(check (float 1e-9)) "doubles" 2.0 (Retry.backoff p ~attempt:2);
   Alcotest.(check (float 1e-9)) "keeps doubling" 8.0 (Retry.backoff p ~attempt:4);
   Alcotest.(check (float 1e-9)) "caps at 16 units" 16.0 (Retry.backoff p ~attempt:7);
-  (match Retry.validate Retry.no_retry with
+  (match Retry.validate p with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "no_retry invalid: %s" e);
+  | Error e -> Alcotest.failf "default policy invalid: %s" e);
   match Retry.validate { p with max_attempts = 0 } with
   | Ok _ -> Alcotest.fail "zero attempts accepted"
   | Error _ -> ()
-
-let test_jitter_bounds () =
-  let p = { (Retry.default_policy ~unit:1.0 ()) with jitter = Retry.Decorrelated } in
-  let rng = Random.State.make [| 42 |] in
-  (* Seed of the chain: previous delay = base_delay. *)
-  let d1 = Retry.backoff_jittered p ~rng ~prev:p.Retry.base_delay in
-  Alcotest.(check bool) "first draw >= base" true (d1 >= p.Retry.base_delay);
-  Alcotest.(check bool) "first draw <= 3*base" true (d1 <= 3.0 *. p.Retry.base_delay);
-  (* A huge previous delay is clamped to the policy envelope. *)
-  let d2 = Retry.backoff_jittered p ~rng ~prev:1_000_000.0 in
-  Alcotest.(check bool) "clamped below max" true (d2 <= p.Retry.max_delay);
-  (* A degenerate previous delay still respects the floor. *)
-  let d3 = Retry.backoff_jittered p ~rng ~prev:0.0 in
-  Alcotest.(check (float 1e-9)) "floor when prev collapses" p.Retry.base_delay d3
-
-let prop_jitter_preserves_bounds =
-  (* The decorrelated-jitter satellite's contract: whatever the rng draws
-     and wherever the chain has wandered, every delay stays within the
-     policy's [base_delay, max_delay] envelope. *)
-  QCheck.Test.make ~name:"decorrelated jitter stays within [base_delay, max_delay]" ~count:500
-    QCheck.(pair (int_range 0 10_000) (float_bound_exclusive 200.0))
-    (fun (seed, prev) ->
-      let p = { (Retry.default_policy ~unit:1.0 ()) with jitter = Retry.Decorrelated } in
-      let rng = Random.State.make [| seed |] in
-      let d = Retry.backoff_jittered p ~rng ~prev in
-      d >= p.Retry.base_delay && d <= p.Retry.max_delay)
-
-let test_jitter_chain_in_run () =
-  (* A failing operation under Decorrelated jitter: the slept virtual time
-     is bounded by the same envelope, per retry, and the run is
-     deterministic in the rng seed. *)
-  let total_slept seed =
-    let engine = Sim.Engine.create () in
-    let stats = Retry.create_stats () in
-    let p =
-      { (Retry.default_policy ~unit:1.0 ()) with Retry.jitter = Retry.Decorrelated }
-    in
-    let rng = Random.State.make [| seed |] in
-    ignore (Retry.run p ~engine ~stats ~rng (fun ~attempt:_ -> Error Types.No_quorum));
-    (Retry.attempts stats, Sim.Engine.now engine)
-  in
-  let attempts, slept = total_slept 7 in
-  let retries = attempts - 1 in
-  Alcotest.(check bool) "at least base per retry" true (slept >= float_of_int retries *. 1.0);
-  Alcotest.(check bool) "at most max per retry" true (slept <= float_of_int retries *. 16.0);
-  let _, slept' = total_slept 7 in
-  Alcotest.(check (float 1e-9)) "deterministic in the seed" slept slept'
-
-let test_jitter_off_is_bit_identical () =
-  (* Default-off: passing an rng without opting into Decorrelated jitter
-     must not perturb the deterministic schedule. *)
-  let run_with rng =
-    let engine = Sim.Engine.create () in
-    let stats = Retry.create_stats () in
-    let p = Retry.default_policy ~unit:1.0 () in
-    ignore
-      (Retry.run p ~engine ~stats ?rng (fun ~attempt ->
-           if attempt < 3 then Error Types.No_quorum else Ok ()));
-    Sim.Engine.now engine
-  in
-  Alcotest.(check (float 1e-9))
-    "No_jitter ignores the rng" (run_with None)
-    (run_with (Some (Random.State.make [| 99 |])))
 
 let test_retry_recovers_and_advances_time () =
   let engine = Sim.Engine.create () in
@@ -286,7 +223,6 @@ let test_retry_deadline () =
       multiplier = 2.0;
       max_delay = 80.0;
       deadline = 5.0;
-      jitter = Retry.No_jitter;
     }
   in
   let result = Retry.run p ~engine ~stats (fun ~attempt:_ -> Error Types.No_quorum) in
@@ -295,21 +231,25 @@ let test_retry_deadline () =
   Alcotest.(check int) "timeout counted" 1 (Retry.timeouts stats);
   Alcotest.(check int) "not a give-up" 0 (Retry.gave_up stats)
 
-let test_retry_respects_retryable_predicate () =
+let test_retry_op_deadline () =
+  (* The operation's own deadline bounds retries before the backoff is
+     slept: attempt 2 starts at t = 1, and attempt 3 would start at t = 3,
+     past the deadline at t = 2.5, so the run stops at t = 1. *)
   let engine = Sim.Engine.create () in
   let stats = Retry.create_stats () in
   let p = Retry.default_policy ~unit:1.0 () in
   let calls = ref 0 in
   let result =
-    Retry.run p ~engine ~stats
-      ~retryable:(fun r -> r <> Types.Site_not_available)
-      (fun ~attempt:_ ->
+    Retry.run p ~engine ~stats ~deadline:2.5 (fun ~attempt:_ ->
         incr calls;
-        Error Types.Site_not_available)
+        Error Types.Timed_out)
   in
-  Alcotest.(check bool) "error surfaced" true (result = Error Types.Site_not_available);
-  Alcotest.(check int) "no retry on non-retryable error" 1 !calls;
-  Alcotest.(check int) "no retries counted" 0 (Retry.retries stats)
+  Alcotest.(check bool) "error surfaced" true (result = Error Types.Timed_out);
+  Alcotest.(check int) "two attempts" 2 !calls;
+  Alcotest.(check (float 1e-9)) "no backoff slept past the deadline" 1.0 (Sim.Engine.now engine);
+  Alcotest.(check int) "timeout counted" 1 (Retry.timeouts stats);
+  Alcotest.(check int) "not a give-up" 0 (Retry.gave_up stats);
+  Alcotest.(check bool) "conserved" true (Retry.conserved stats)
 
 let test_retry_invalid_bounds () =
   let p = Retry.default_policy ~unit:1.0 () in
@@ -335,7 +275,7 @@ let test_retry_invalid_bounds () =
   | _ -> Alcotest.fail "run accepted an invalid policy"
 
 let test_retry_conservation () =
-  (* Every operation submitted must terminate in exactly one of the four
+  (* Every operation submitted must terminate in exactly one of the three
      ways the counters distinguish, whatever mix of outcomes occurs. *)
   let engine = Sim.Engine.create () in
   let stats = Retry.create_stats () in
@@ -348,32 +288,15 @@ let test_retry_conservation () =
          if attempt = 1 then Error Types.No_quorum else Ok ()));
   (* exhausts attempts *)
   ignore (Retry.run p ~engine ~stats (fun ~attempt:_ -> Error Types.No_quorum));
-  (* rejected by the retryable predicate *)
-  ignore
-    (Retry.run p ~engine ~stats
-       ~retryable:(fun _ -> false)
-       (fun ~attempt:_ -> Error Types.Site_not_available));
   (* stopped by the deadline before the first retry *)
   let tight = { p with max_attempts = 10; base_delay = 10.0; deadline = 5.0 } in
   ignore (Retry.run tight ~engine ~stats (fun ~attempt:_ -> Error Types.Timed_out));
-  Alcotest.(check int) "operations" 5 (Retry.operations stats);
+  Alcotest.(check int) "operations" 4 (Retry.operations stats);
   Alcotest.(check int) "succeeded" 2 (Retry.succeeded stats);
   Alcotest.(check int) "recovered" 1 (Retry.recovered stats);
   Alcotest.(check int) "gave up" 1 (Retry.gave_up stats);
-  Alcotest.(check int) "rejected" 1 (Retry.rejected stats);
   Alcotest.(check int) "timeouts" 1 (Retry.timeouts stats);
   Alcotest.(check bool) "conserved" true (Retry.conserved stats)
-
-let test_no_retry_is_fail_fast () =
-  let engine = Sim.Engine.create () in
-  let stats = Retry.create_stats () in
-  let calls = ref 0 in
-  ignore
-    (Retry.run Retry.no_retry ~engine ~stats (fun ~attempt:_ ->
-         incr calls;
-         Error Types.No_quorum));
-  Alcotest.(check int) "exactly one attempt" 1 !calls;
-  Alcotest.(check (float 0.0)) "no virtual time consumed" 0.0 (Sim.Engine.now engine)
 
 (* ------------------------------------------------------------------ *)
 (* End to end: MCV on a lossy network                                  *)
@@ -588,18 +511,13 @@ let () =
       ( "retry",
         [
           Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule;
-          Alcotest.test_case "jitter bounds" `Quick test_jitter_bounds;
-          Alcotest.test_case "jitter chain in run" `Quick test_jitter_chain_in_run;
-          Alcotest.test_case "jitter off is bit-identical" `Quick test_jitter_off_is_bit_identical;
-          QCheck_alcotest.to_alcotest prop_jitter_preserves_bounds;
           Alcotest.test_case "recovers and advances time" `Quick
             test_retry_recovers_and_advances_time;
           Alcotest.test_case "gives up" `Quick test_retry_gives_up;
           Alcotest.test_case "deadline" `Quick test_retry_deadline;
-          Alcotest.test_case "retryable predicate" `Quick test_retry_respects_retryable_predicate;
+          Alcotest.test_case "op deadline" `Quick test_retry_op_deadline;
           Alcotest.test_case "invalid bounds rejected" `Quick test_retry_invalid_bounds;
           Alcotest.test_case "counters conserved" `Quick test_retry_conservation;
-          Alcotest.test_case "no_retry fail-fast" `Quick test_no_retry_is_fail_fast;
         ] );
       ( "end-to-end",
         [

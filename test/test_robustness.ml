@@ -1,12 +1,11 @@
 (* Tests for the gray-failure / overload robustness stack: the bounded
    per-site service model, deadline propagation, hedged reads, circuit
-   breakers and admission control — plus the regression for the
-   decorrelated-jitter-without-rng silent fallback. *)
+   breakers and admission control — and the guarantee that every client
+   operation answers exactly once, even when its site crashes. *)
 
 module Types = Blockrep.Types
 module Cluster = Blockrep.Cluster
 module Device = Blockrep.Reliable_device
-module Stub = Blockrep.Driver_stub
 module Robustness = Blockrep.Robustness
 module Breaker = Blockrep.Breaker
 module Experiment = Workload.Experiment
@@ -56,7 +55,7 @@ let test_server_flood_and_clear () =
   let ran = ref false in
   Alcotest.(check bool) "legit work shed behind flood" false
     (Sim.Server.submit s ~cost:0.1 (fun () -> ran := true));
-  Sim.Server.clear s;
+  Alcotest.(check int) "flood jobs have no caller to answer" 0 (List.length (Sim.Server.clear s));
   Alcotest.(check int) "clear drops everything" 5 (Sim.Server.dropped s);
   Alcotest.(check int) "empty after clear" 0 (Sim.Server.depth s);
   Sim.Engine.run_until e 50.0;
@@ -88,25 +87,6 @@ let test_breaker_lifecycle () =
   Alcotest.(check bool) "successful probe closes" true (Breaker.state b = Breaker.Closed);
   Breaker.record_failure b;
   Alcotest.(check bool) "run reset by success" true (Breaker.allows b)
-
-(* ------------------------------------------------------------------ *)
-(* Satellite regression: Decorrelated jitter demands an rng            *)
-(* ------------------------------------------------------------------ *)
-
-let test_decorrelated_requires_rng () =
-  let config =
-    Blockrep.Config.make_exn ~scheme:Types.Available_copy ~n_sites:3 ~n_blocks:8 ~seed:7 ()
-  in
-  let cluster = Cluster.create config in
-  let policy = { (Blockrep.Retry.default_policy ()) with jitter = Blockrep.Retry.Decorrelated } in
-  (match Stub.create ~policy cluster with
-  | _ -> Alcotest.fail "Decorrelated without rng must be rejected at create"
-  | exception Invalid_argument _ -> ());
-  (* With an rng the same policy is fine and operations go through. *)
-  let stub = Stub.create ~policy ~rng:(Random.State.make [| 11 |]) cluster in
-  (match Stub.write_block stub 0 (Block.of_string "jittered") with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "write through decorrelated stub failed")
 
 (* ------------------------------------------------------------------ *)
 (* Deadline propagation                                                *)
@@ -141,10 +121,10 @@ let test_deadline_budget_surfaces () =
   in
   let d = Device.of_config config in
   Alcotest.(check (option (float 1e-9))) "budget visible" (Some 12.5)
-    (Stub.deadline_budget (Device.stub d));
+    (Device.deadline_budget d);
   let off = Device.of_config (Blockrep.Config.make_exn ~scheme:Types.Available_copy ~n_sites:3 ~n_blocks:8 ~seed:3 ()) in
   Alcotest.(check (option (float 1e-9))) "no budget when off" None
-    (Stub.deadline_budget (Device.stub off))
+    (Device.deadline_budget off)
 
 (* ------------------------------------------------------------------ *)
 (* Twin runs: determinism of the whole stack                           *)
@@ -174,7 +154,7 @@ let test_twin_runs_bit_identical () =
   Alcotest.(check (float 0.0)) "p99 bit-identical" a.latency_p99 b.latency_p99
 
 (* Robustness.off must be behaviourally identical to a config that never
-   mentions robustness at all: same traffic, same stub counters. *)
+   mentions robustness at all: same traffic, same request counters. *)
 let test_robustness_off_is_inert () =
   let drive config =
     let d = Device.of_config config in
@@ -188,7 +168,7 @@ let test_robustness_off_is_inert () =
     Cluster.repair_site c 1;
     Cluster.settle c;
     (Net.Traffic.total (Cluster.traffic c), Net.Traffic.total_bytes (Cluster.traffic c),
-     Stub.requests (Device.stub d), Stub.site_attempts (Device.stub d))
+     (Device.degradation d).requests, (Device.degradation d).site_attempts)
   in
   let plain =
     drive (Blockrep.Config.make_exn ~scheme:Types.Available_copy ~n_sites:3 ~n_blocks:8 ~seed:13 ())
@@ -263,6 +243,122 @@ let test_admission_sheds_fast () =
   let deg = Device.degradation d in
   Alcotest.(check int) "shed counted" 1 deg.Device.shed;
   Alcotest.(check bool) "conservation holds" true (Device.degradation_conserved deg)
+
+(* ------------------------------------------------------------------ *)
+(* Every client operation answers exactly once                         *)
+(* ------------------------------------------------------------------ *)
+
+let queued_ac ?(robustness = Robustness.off) ~seed () =
+  Blockrep.Config.make_exn ~scheme:Types.Available_copy ~n_sites:3 ~n_blocks:8 ~seed
+    ~service:Net.Service_model.default ~robustness ()
+
+(* Regression: a site crash dropped the client jobs queued at it without a
+   word, so their callbacks never fired and the in-flight count leaked. *)
+let test_crash_answers_queued_async_ops () =
+  let d = Device.of_config (queued_ac ~seed:5 ()) in
+  let c = Device.cluster d in
+  let reads = ref [] and writes = ref [] in
+  Device.read_block_async d 0 (fun r -> reads := Result.map ignore r :: !reads);
+  Device.write_block_async d 1 (Block.of_string "lost") (fun r ->
+      writes := Result.map ignore r :: !writes);
+  Alcotest.(check int) "both queued" 2 (Device.in_flight d);
+  Cluster.fail_site c 0;
+  Cluster.settle c;
+  List.iter
+    (fun (op, answers) ->
+      match !answers with
+      | [ Error Types.Site_not_available ] -> ()
+      | rs -> Alcotest.failf "%s: expected one Site_not_available answer, got %d" op (List.length rs))
+    [ ("read", reads); ("write", writes) ];
+  Alcotest.(check int) "nothing in flight" 0 (Device.in_flight d);
+  Alcotest.(check bool) "conserved" true (Device.degradation_conserved (Device.degradation d))
+
+(* With hedging on, a read that finds its home queue full spills over to a
+   peer's queue; a crash of that peer must answer it just the same. *)
+let test_crash_answers_spilled_read () =
+  let robustness = { Robustness.off with hedge = Some { Robustness.quantile = 0.9; floor = 1.0 } } in
+  let c = Cluster.create (queued_ac ~robustness ~seed:5 ()) in
+  Cluster.flood_site c 0 ~count:100;
+  let answers = ref [] in
+  Cluster.read c ~site:0 ~block:0 (fun r -> answers := r :: !answers);
+  Alcotest.(check int) "spilled, not shed" 0 (Cluster.client_shed c);
+  Cluster.fail_site c 1;
+  Cluster.settle c;
+  match !answers with
+  | [ Error Types.Site_not_available ] -> ()
+  | rs -> Alcotest.failf "expected one Site_not_available answer, got %d" (List.length rs)
+
+(* Regression: a sync op whose queued job died with its site only returned
+   once [run_sync] had drained the whole event queue, here at t = 500. *)
+let test_crash_answers_sync_op_at_once () =
+  let c = Cluster.create (queued_ac ~seed:5 ()) in
+  let engine = Cluster.engine c in
+  ignore (Sim.Engine.schedule_at engine ~time:0.0001 (fun () -> Cluster.fail_site c 0) : Sim.Engine.handle);
+  ignore (Sim.Engine.schedule_at engine ~time:500.0 (fun () -> ()) : Sim.Engine.handle);
+  (match Cluster.read_sync c ~site:0 ~block:0 with
+  | Error Types.Site_not_available -> ()
+  | Ok _ | Error _ -> Alcotest.fail "expected Site_not_available");
+  Alcotest.(check (float 1e-9)) "answered on the crash" 0.0001 (Sim.Engine.now engine)
+
+(* Random runs: async and sync reads and writes, queue floods, and crashes
+   and repairs of random sites (home included) at random virtual times,
+   with the robustness stack off or on.  Each step is (kind, arg, delay):
+   time advances [delay] x 0.02, then the step acts; crashes and repairs
+   are scheduled [arg] x 0.02 ahead, so they land inside later ops. *)
+let prop_every_op_answers_once =
+  QCheck.Test.make ~name:"every client op answers exactly once" ~count:1000
+    QCheck.(
+      triple (int_range 1 1000) bool
+        (list_of_size Gen.(int_range 1 40) (triple (int_range 0 6) (int_range 0 23) (int_range 0 10))))
+    (fun (seed, robust, steps) ->
+      let robustness =
+        if not robust then Robustness.off
+        else
+          {
+            Robustness.deadlines = true;
+            op_budget = Some 8.0;
+            hedge = Some { Robustness.quantile = 0.9; floor = 1.0 };
+            breaker = Some { Robustness.threshold = 5; cooldown = 20.0 };
+            admission = Some 4;
+          }
+      in
+      let d = Device.of_config (queued_ac ~robustness ~seed ()) in
+      let c = Device.cluster d in
+      let engine = Cluster.engine c in
+      let answers = ref [] in
+      let issue () =
+        let n = ref 0 in
+        answers := n :: !answers;
+        fun (_ : (unit, Types.failure_reason) result) -> incr n
+      in
+      List.iter
+        (fun (kind, arg, delay) ->
+          Cluster.run_until c (Sim.Engine.now engine +. (0.02 *. float_of_int delay));
+          let site = arg mod 3 and block = arg mod 8 in
+          let later f =
+            ignore (Sim.Engine.schedule engine ~delay:(0.02 *. float_of_int arg) f : Sim.Engine.handle)
+          in
+          match kind with
+          | 0 ->
+              let k = issue () in
+              Device.read_block_async d block (fun r -> k (Result.map ignore r))
+          | 1 ->
+              let k = issue () in
+              Device.write_block_async d block (Block.of_string "w") (fun r -> k (Result.map ignore r))
+          | 2 -> ignore (Device.read_block d block : Block.t option)
+          | 3 -> ignore (Device.write_block d block (Block.of_string "s") : bool)
+          | 4 -> Cluster.flood_site c site ~count:(4 * arg)
+          | 5 -> later (fun () -> Cluster.fail_site c site)
+          | _ -> later (fun () -> Cluster.repair_site c site))
+        steps;
+      Cluster.heal c;
+      for site = 0 to 2 do
+        Cluster.repair_site c site
+      done;
+      Cluster.settle c;
+      List.for_all (fun n -> !n = 1) !answers
+      && Device.in_flight d = 0
+      && Device.degradation_conserved (Device.degradation d))
 
 (* ------------------------------------------------------------------ *)
 (* Availability monitor: truncated outages                             *)
@@ -357,8 +453,6 @@ let () =
           Alcotest.test_case "flood and clear" `Quick test_server_flood_and_clear;
         ] );
       ("breaker", [ Alcotest.test_case "lifecycle" `Quick test_breaker_lifecycle ]);
-      ( "retry",
-        [ Alcotest.test_case "decorrelated requires rng" `Quick test_decorrelated_requires_rng ] );
       ( "deadlines",
         [
           Alcotest.test_case "no round opens past deadline" `Quick test_no_round_opens_past_deadline;
@@ -378,6 +472,15 @@ let () =
             test_robustness_strictly_better_past_saturation;
         ] );
       ("admission", [ Alcotest.test_case "sheds fast" `Quick test_admission_sheds_fast ]);
+      ( "answers",
+        [
+          Alcotest.test_case "crash answers queued async ops" `Quick
+            test_crash_answers_queued_async_ops;
+          Alcotest.test_case "crash answers sync op at once" `Quick
+            test_crash_answers_sync_op_at_once;
+          Alcotest.test_case "crash answers spilled read" `Quick test_crash_answers_spilled_read;
+          QCheck_alcotest.to_alcotest prop_every_op_answers_once;
+        ] );
       ("monitor", [ Alcotest.test_case "current outage" `Quick test_current_outage ]);
       ( "chaos",
         [
