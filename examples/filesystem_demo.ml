@@ -1,15 +1,17 @@
 (* File-system transparency demo (the Section 2 argument).
 
-   Fs.Flat_fs is a functor over the ordinary block-device signature.  We
+   Fs.Hier_fs is a functor over the ordinary block-device signature.  We
    mount the *same* file-system code twice: once on a single in-memory
    disk, once on a replicated reliable device — and run the same workload.
    On the single disk, a media failure kills everything; on the reliable
    device, sites die and the files do not notice. *)
 
-module Fs_on_disk = Fs.Flat_fs.Make (Blockdev.Mem_device)
-module Fs_on_reliable = Fs.Flat_fs.Make (Blockrep.Reliable_device)
+module Fs_on_disk = Fs.Hier_fs.Make (Blockdev.Mem_device)
+module Fs_on_reliable = Fs.Hier_fs.Make (Blockrep.Reliable_device)
 
-let check = function Ok v -> v | Error e -> failwith (Fs.Flat_fs.error_to_string e)
+let check = function Ok v -> v | Error e -> failwith (Fs.Fs_core.error_to_string e)
+
+let names entries = List.map (fun e -> e.Fs.Hier_fs.name) entries
 
 (* Locate the data block holding motd's contents by scanning the device
    through the ordinary read interface — both devices implement it. *)
@@ -32,14 +34,14 @@ let exercise_files create write read list_files label =
   |> check;
   let motd = read "motd" |> check in
   Printf.printf "[%s] motd = %S\n" label (Bytes.to_string motd);
-  Printf.printf "[%s] files: %s\n" label (String.concat ", " (list_files () |> check))
+  Printf.printf "[%s] files: %s\n" label (String.concat ", " (names (list_files () |> check)))
 
 let () =
   (* 1. One ordinary disk. *)
   let disk = Blockdev.Mem_device.create ~capacity:128 in
   let fs1 = Fs_on_disk.format disk |> check in
   exercise_files (Fs_on_disk.create fs1) (fun n b -> Fs_on_disk.write fs1 n b) (Fs_on_disk.read fs1)
-    (fun () -> Fs_on_disk.list fs1)
+    (fun () -> Fs_on_disk.list fs1 "/")
     "single disk";
   (* A latent sector error: the sector holding motd rots.  One disk means
      one copy — there is no peer to re-read it from, so the data is gone. *)
@@ -49,11 +51,11 @@ let () =
   | Ok _ -> Printf.printf "[single disk] rotten sector served?!\n"
   | Error e ->
       Printf.printf "[single disk] bit rot on block %d: %s — no peer to repair from, data lost\n"
-        rotten (Fs.Flat_fs.error_to_string e));
+        rotten (Fs.Fs_core.error_to_string e));
   Blockdev.Mem_device.fail disk;
   (match Fs_on_disk.read fs1 "motd" with
   | Ok _ -> Printf.printf "[single disk] still readable?!\n"
-  | Error e -> Printf.printf "[single disk] after disk failure: %s\n" (Fs.Flat_fs.error_to_string e));
+  | Error e -> Printf.printf "[single disk] after disk failure: %s\n" (Fs.Fs_core.error_to_string e));
 
   (* 2. The same file system code on a reliable device (available copy,
      3 sites). *)
@@ -67,7 +69,7 @@ let () =
   exercise_files (Fs_on_reliable.create fs2)
     (fun n b -> Fs_on_reliable.write fs2 n b)
     (Fs_on_reliable.read fs2)
-    (fun () -> Fs_on_reliable.list fs2)
+    (fun () -> Fs_on_reliable.list fs2 "/")
     "reliable device";
 
   Blockrep.Cluster.fail_site cluster 0;
@@ -76,7 +78,7 @@ let () =
   Fs_on_reliable.append fs2 "data.log" (Bytes.of_string "\nwritten during double failure") |> check;
   (match Fs_on_reliable.read fs2 "motd" with
   | Ok b -> Printf.printf "[reliable device] motd still reads: %S\n" (Bytes.to_string b)
-  | Error e -> Printf.printf "[reliable device] read failed: %s\n" (Fs.Flat_fs.error_to_string e));
+  | Error e -> Printf.printf "[reliable device] read failed: %s\n" (Fs.Fs_core.error_to_string e));
 
   (* Repair, let recovery finish, and check structural integrity. *)
   Blockrep.Cluster.repair_site cluster 0;
@@ -86,8 +88,8 @@ let () =
   Printf.printf "[reliable device] all sites repaired, fsck clean, replicas consistent: %b\n"
     (Blockrep.Cluster.consistent_available_stores cluster);
   let st = Fs_on_reliable.stat fs2 "data.log" |> check in
-  Printf.printf "[reliable device] data.log: %d bytes in %d blocks (inode %d)\n" st.Fs.Flat_fs.size
-    st.Fs.Flat_fs.blocks_used st.Fs.Flat_fs.inode;
+  Printf.printf "[reliable device] data.log: %d bytes in %d blocks (inode %d)\n" st.Fs.Hier_fs.size
+    st.Fs.Hier_fs.blocks_used st.Fs.Hier_fs.inode;
 
   (* 3. The same latent fault that killed the single disk's file: the home
      site's copy of motd rots.  The next read detects the bad checksum,
@@ -100,7 +102,7 @@ let () =
     (Blockrep.Cluster.checksum_ok cluster ~site:0 ~block:rotten);
   (match Fs_on_reliable.read fs2 "motd" with
   | Ok b -> Printf.printf "[reliable device] motd reads through the fault: %S\n" (Bytes.to_string b)
-  | Error e -> Printf.printf "[reliable device] read failed: %s\n" (Fs.Flat_fs.error_to_string e));
+  | Error e -> Printf.printf "[reliable device] read failed: %s\n" (Fs.Fs_core.error_to_string e));
   let c = Blockrep.Cluster.storage_counters cluster in
   Printf.printf "[reliable device] copy healed from a peer: checksum ok again: %b (%d repaired)\n"
     (Blockrep.Cluster.checksum_ok cluster ~site:0 ~block:rotten)

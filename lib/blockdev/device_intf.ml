@@ -2,7 +2,7 @@
 
     This is the boundary the paper's reliable device preserves: a file
     system written against this signature cannot tell one disk from a set
-    of replicated server processes.  [Fs.Flat_fs] is a functor over it, and
+    of replicated server processes.  [Fs.Hier_fs] is a functor over it, and
     both {!Mem_device} (one local disk) and [Blockrep.Reliable_device] (the
     replicated device) implement it. *)
 

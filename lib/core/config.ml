@@ -15,76 +15,45 @@ type t = {
   sync_profile : Blockdev.Sync_cost.profile option;
 }
 
-let make ~scheme ~n_sites ?(n_blocks = 64) ?(net_mode = Net.Network.Multicast)
+let make_exn ~scheme ~n_sites ?(n_blocks = 64) ?(net_mode = Net.Network.Multicast)
     ?(latency = Util.Dist.Constant 0.5) ?op_timeout ?quorum ?(witnesses = []) ?(track_liveness = false)
     ?(seed = 42) ?(fault_profile = Net.Faults.pristine) ?service ?(robustness = Robustness.off) ?sync_profile
     () =
-  if n_sites < 1 then Error "need at least one site"
-  else if n_blocks < 1 then Error "need at least one block"
-  else begin
-    match Util.Dist.validate latency with
-    | Error e -> Error ("bad latency distribution: " ^ e)
-    | Ok latency ->
-        let op_timeout = Option.value op_timeout ~default:(8.0 *. Util.Dist.mean latency) in
-        if op_timeout <= 0.0 then Error "op_timeout must be positive"
-        else begin
-          let quorum = match quorum with Some q -> q | None -> Quorum.majority ~n:n_sites in
-          let witness_set = Types.int_set_of_list witnesses in
-          if not (Int.equal (Quorum.n_sites quorum) n_sites) then
-            Error "quorum weight vector length must equal n_sites"
-          else if Types.Int_set.exists (fun w -> w < 0 || w >= n_sites) witness_set then
-            Error "witness ids must name existing sites"
-          else if Types.Int_set.cardinal witness_set >= n_sites then
-            Error "at least one site must hold data"
-          else if (not (Types.Int_set.is_empty witness_set)) && scheme <> Types.Voting then
-            Error "witnesses only make sense under voting"
-          else begin
-            match Net.Faults.validate_profile fault_profile with
-            | Error e -> Error ("bad fault profile: " ^ e)
-            | Ok fault_profile -> (
-                let service_ok =
-                  match service with
-                  | None -> Ok None
-                  | Some m -> (
-                      match Net.Service_model.validate m with
-                      | Ok m -> Ok (Some m)
-                      | Error e -> Error ("bad service model: " ^ e))
-                in
-                match service_ok with
-                | Error e -> Error e
-                | Ok service -> (
-                    match Robustness.validate robustness with
-                    | Error e -> Error ("bad robustness config: " ^ e)
-                    | Ok robustness ->
-                        Ok
-                          {
-                            scheme;
-                            n_sites;
-                            n_blocks;
-                            net_mode;
-                            latency;
-                            op_timeout;
-                            quorum;
-                            witnesses = witness_set;
-                            track_liveness;
-                            seed;
-                            fault_profile;
-                            service;
-                            robustness;
-                            sync_profile;
-                          }))
-          end
-        end
-  end
-
-let make_exn ~scheme ~n_sites ?n_blocks ?net_mode ?latency ?op_timeout ?quorum ?witnesses
-    ?track_liveness ?seed ?fault_profile ?service ?robustness ?sync_profile () =
-  match
-    make ~scheme ~n_sites ?n_blocks ?net_mode ?latency ?op_timeout ?quorum ?witnesses
-      ?track_liveness ?seed ?fault_profile ?service ?robustness ?sync_profile ()
-  with
-  | Ok t -> t
-  | Error msg -> invalid_arg ("Config.make: " ^ msg)
+  let fail msg = invalid_arg ("Config.make: " ^ msg) in
+  let valid what = function Ok v -> v | Error e -> fail (what ^ e) in
+  if n_sites < 1 then fail "need at least one site";
+  if n_blocks < 1 then fail "need at least one block";
+  let latency = valid "bad latency distribution: " (Util.Dist.validate latency) in
+  let op_timeout = Option.value op_timeout ~default:(8.0 *. Util.Dist.mean latency) in
+  if op_timeout <= 0.0 then fail "op_timeout must be positive";
+  let quorum = match quorum with Some q -> q | None -> Quorum.majority ~n:n_sites in
+  let witnesses = Types.int_set_of_list witnesses in
+  if not (Int.equal (Quorum.n_sites quorum) n_sites) then
+    fail "quorum weight vector length must equal n_sites";
+  if Types.Int_set.exists (fun w -> w < 0 || w >= n_sites) witnesses then
+    fail "witness ids must name existing sites";
+  if Types.Int_set.cardinal witnesses >= n_sites then fail "at least one site must hold data";
+  if (not (Types.Int_set.is_empty witnesses)) && scheme <> Types.Voting then
+    fail "witnesses only make sense under voting";
+  let fault_profile = valid "bad fault profile: " (Net.Faults.validate_profile fault_profile) in
+  let service = Option.map (fun m -> valid "bad service model: " (Net.Service_model.validate m)) service in
+  let robustness = valid "bad robustness config: " (Robustness.validate robustness) in
+  {
+    scheme;
+    n_sites;
+    n_blocks;
+    net_mode;
+    latency;
+    op_timeout;
+    quorum;
+    witnesses;
+    track_liveness;
+    seed;
+    fault_profile;
+    service;
+    robustness;
+    sync_profile;
+  }
 
 let pp ppf t =
   Format.fprintf ppf "config(%s, n=%d, blocks=%d, %s, latency=%a, timeout=%g, seed=%d)"

@@ -47,28 +47,6 @@ type t = private {
           bit-identical to pre-model behaviour *)
 }
 
-val make :
-  scheme:Types.scheme ->
-  n_sites:int ->
-  ?n_blocks:int ->
-  ?net_mode:Net.Network.mode ->
-  ?latency:Util.Dist.t ->
-  ?op_timeout:float ->
-  ?quorum:Quorum.t ->
-  ?witnesses:int list ->
-  ?track_liveness:bool ->
-  ?seed:int ->
-  ?fault_profile:Net.Faults.profile ->
-  ?service:Net.Service_model.t ->
-  ?robustness:Robustness.t ->
-  ?sync_profile:Blockdev.Sync_cost.profile ->
-  unit ->
-  (t, string) result
-(** Defaults: 64 blocks, multicast, constant latency 0.5 time units,
-    timeout 8 latencies, majority quorum, no witnesses,
-    [track_liveness = false], seed 42, pristine fault profile, no service
-    model, robustness off, no sync-write cost. *)
-
 val make_exn :
   scheme:Types.scheme ->
   n_sites:int ->
@@ -86,6 +64,10 @@ val make_exn :
   ?sync_profile:Blockdev.Sync_cost.profile ->
   unit ->
   t
-(** Like {!make}; raises [Invalid_argument] instead. *)
+(** Defaults: 64 blocks, multicast, constant latency 0.5 time units,
+    timeout 8 latencies, majority quorum, no witnesses,
+    [track_liveness = false], seed 42, pristine fault profile, no service
+    model, robustness off, no sync-write cost.  Raises [Invalid_argument]
+    on an inconsistent configuration. *)
 
 val pp : Format.formatter -> t -> unit

@@ -6,7 +6,7 @@
     file system as an ordinary block-structured device, but is implemented
     as a set of server processes on several sites".  It satisfies
     [Blockdev.Device_intf.S], so any client of that signature (notably
-    [Fs.Flat_fs]) runs on it unchanged.
+    [Fs.Hier_fs]) runs on it unchanged.
 
     In the UNIX deployment the kernel's driver stub receives block requests
     from the file system and forwards them to a user-state server, which

@@ -76,41 +76,6 @@ let category = function
   | Batch_update _ -> Net.Message.Block_update
   | Batch_ack _ -> Net.Message.Write_ack
 
-(* Legacy byte-size model: 32-byte header on everything, 4 bytes per
-   integer field, full block payloads, 4 bytes per set member / vector
-   entry.  Kept only as a cross-check against the measured encoded
-   size (see [size] below and the tolerance test in
-   test_traffic_counts); traffic accounting charges measured frames. *)
-let header = 32
-let int_field = 4
-let set_size s = int_field * Types.Int_set.cardinal s
-let vv_size v = int_field * Blockdev.Version_vector.length v
-
-let info_size (info : site_info) =
-  int_field + int_field + vv_size info.versions + set_size info.was_available
-
-let model_size = function
-  | Vote_request _ -> header + (3 * int_field)
-  | Vote_reply _ -> header + (5 * int_field)
-  | Block_update { carried_w; _ } -> header + (3 * int_field) + Blockdev.Block.size + set_size carried_w
-  | Write_ack _ -> header + (2 * int_field)
-  | Block_request _ -> header + (2 * int_field)
-  | Block_transfer _ -> header + (3 * int_field) + Blockdev.Block.size
-  | Recovery_probe { info; _ } | Recovery_reply { info; _ } -> header + int_field + info_size info
-  | Vv_send { versions; w_of_sender; _ } -> header + int_field + vv_size versions + set_size w_of_sender
-  | Vv_reply { versions; updates; w_of_source; _ } ->
-      header + int_field + vv_size versions + set_size w_of_source
-      + List.fold_left
-          (fun acc (_, _, _) -> acc + (2 * int_field) + Blockdev.Block.size)
-          0 updates
-  | Group_fix { group; _ } -> header + (2 * int_field) + set_size group
-  | Batch_vote_request { blocks; _ } -> header + (2 * int_field) + (int_field * List.length blocks)
-  | Batch_vote_reply { votes; _ } -> header + (3 * int_field) + (2 * int_field * List.length votes)
-  | Batch_update { writes; carried_w; _ } ->
-      header + int_field + set_size carried_w
-      + List.fold_left (fun acc _ -> acc + (2 * int_field) + Blockdev.Block.size) 0 writes
-  | Batch_ack { blocks; _ } -> header + int_field + (int_field * List.length blocks)
-
 (* Binary codec.
 
    Every message is one {!Codec.Frame} (9-byte header: magic, payload

@@ -102,12 +102,6 @@ val size : t -> int
     bench lanes).  Drives the byte-level traffic comparison of
     Section 5. *)
 
-val model_size : t -> int
-(** The legacy analytic size model (32-byte header, 4 bytes per integer
-    or set member, full {!Blockdev.Block.size} per block carried).
-    Retained only as a cross-check against {!size}; the documented
-    per-category tolerance is asserted in [test_traffic_counts]. *)
-
 (** {2 Binary codec}
 
     Each message is one checksummed {!Codec.Frame} whose payload is a

@@ -41,8 +41,7 @@ module Make_batched (Dev : Blockdev.Device_intf.BATCHED) = struct
     }
 
   let device t = t.dev
-  let capacity t = t.capacity
-  let device_capacity t = Dev.capacity t.dev
+  let capacity t = Dev.capacity t.dev
   let policy t = t.policy
 
   let touch t entry =

@@ -5,7 +5,7 @@
     before the device driver; only misses reach the (possibly replicated)
     device.  This functor reproduces that layer: it implements the same
     {!Blockdev.Device_intf.S} it consumes, so it can be slotted between
-    [Fs.Flat_fs] and a [Blockrep.Reliable_device] — cutting the voting
+    [Fs.Hier_fs] and a [Blockrep.Reliable_device] — cutting the voting
     scheme's per-read quorum traffic by exactly the hit rate.
 
     {b Write-through} (the default) sends every write to the device
@@ -50,17 +50,12 @@ module Make_batched (Dev : Blockdev.Device_intf.BATCHED) : sig
   val device : t -> Dev.t
 
   include Blockdev.Device_intf.S with type t := t
-  (** [capacity] is the cache's {e configured} capacity (the [~capacity]
-      given to {!create}), not the underlying device's block count — an
-      early version delegated to [Dev.capacity] by accident (the functor
-      argument shadowed the field).  For the device's addressable size use
-      {!device_capacity}.
+  (** [capacity] is the device's addressable block count, every block of
+      which reads and writes reach; the [~capacity] given to {!create}
+      only bounds how many of them are cached.
 
       Under [Write_back], [write_block] only fails on out-of-range ids:
       availability errors surface at flush time, not write time. *)
-
-  val device_capacity : t -> int
-  (** [Dev.capacity] of the underlying device. *)
 
   val policy : t -> policy
 

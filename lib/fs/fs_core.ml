@@ -38,6 +38,8 @@ let max_file_blocks = direct_pointers + pointers_per_block
 let max_file_bytes = max_file_blocks * Block.size
 let dirent_size = 32
 let max_name = 27
+let file_kind = 'f'
+let dir_kind = 'd'
 
 let ( let* ) = Result.bind
 
@@ -74,9 +76,11 @@ module Make (Dev : Blockdev.Device_intf.S) = struct
   (* Superblock                                                        *)
   (* ---------------------------------------------------------------- *)
 
-  let geometry_of_superblock ~flavour b =
+  (* Byte 32 is written as 'H' so that a fresh format stays byte for byte
+     what earlier versions wrote, and never read: a disk marked 'F' (every
+     file at the root) is an ordinary one and must mount. *)
+  let geometry_of_superblock b =
     if get_u32 b 0 <> magic then Error Not_formatted
-    else if Bytes.get b 32 <> flavour then Error Not_formatted
     else begin
       let geo =
         {
@@ -94,7 +98,7 @@ module Make (Dev : Blockdev.Device_intf.S) = struct
       else Ok geo
     end
 
-  let superblock_bytes ~flavour geo =
+  let superblock_bytes geo =
     let b = Bytes.make Block.size '\000' in
     set_u32 b 0 magic;
     set_u32 b 4 geo.total_blocks;
@@ -104,7 +108,7 @@ module Make (Dev : Blockdev.Device_intf.S) = struct
     set_u32 b 20 geo.inode_start;
     set_u32 b 24 geo.inode_blocks;
     set_u32 b 28 geo.data_start;
-    Bytes.set b 32 flavour;
+    Bytes.set b 32 'H';
     b
 
   let plan_geometry ~total_blocks ~n_inodes =
@@ -357,23 +361,23 @@ module Make (Dev : Blockdev.Device_intf.S) = struct
   (* Format / mount                                                    *)
   (* ---------------------------------------------------------------- *)
 
-  let format ~flavour ~n_inodes ~root_kind dev =
+  let format ~n_inodes dev =
     match plan_geometry ~total_blocks:(Dev.capacity dev) ~n_inodes with
     | None -> Error No_space
     | Some geo ->
         let t = { dev; geo } in
-        let* () = write_raw dev 0 (superblock_bytes ~flavour geo) in
+        let* () = write_raw dev 0 (superblock_bytes geo) in
         let zero = Bytes.make Block.size '\000' in
         let rec zero_range k upto =
           if k >= upto then Ok () else let* () = write_raw dev k zero in zero_range (k + 1) upto
         in
         let* () = zero_range geo.bitmap_start geo.data_start in
-        let* () = store_inode t 0 { empty_inode with used = true; kind = root_kind } in
+        let* () = store_inode t 0 { empty_inode with used = true; kind = dir_kind } in
         Ok t
 
-  let mount ~flavour dev =
+  let mount dev =
     let* sb = read_raw dev 0 in
-    let* geo = geometry_of_superblock ~flavour sb in
+    let* geo = geometry_of_superblock sb in
     if geo.total_blocks <> Dev.capacity dev then Error (Corrupt "device size does not match superblock")
     else begin
       let t = { dev; geo } in

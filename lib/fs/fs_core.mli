@@ -1,28 +1,28 @@
-(** Shared on-disk machinery of the file systems.
+(** On-disk machinery of {!Hier_fs}.
 
-    Both {!Flat_fs} (single flat directory) and {!Hier_fs} (hierarchical
-    paths) use the same layout — superblock, byte-per-block allocation
-    bitmap, 64-byte inodes with 11 direct pointers and one singly indirect
-    pointer — and differ only in their namespace logic.  This functor
-    provides the common layer: geometry, inode IO, block allocation,
-    file-extent reads/writes and the block-accounting part of fsck.
+    The layout: a superblock, a byte-per-block allocation bitmap, 64-byte
+    inodes with 11 direct pointers and one singly indirect pointer.  This
+    functor hides it behind geometry, inode IO, block allocation,
+    file-extent reads/writes and the block-accounting part of fsck;
+    {!Hier_fs} adds only the namespace.
 
-    The superblock carries a one-byte {e flavour} so a device formatted by
-    one file system is not silently mounted by the other. *)
+    Superblock byte 32 is always written as ['H'] and never read: a disk
+    written by the former flat file system (['F'], every file at the
+    root) mounts like any other. *)
 
 type error =
-  | Device_unavailable
-  | No_space
+  | Device_unavailable  (** the device returned None/false mid-operation *)
+  | No_space  (** no free data block or inode *)
   | Not_found
   | Already_exists
-  | Name_too_long
+  | Name_too_long  (** names are limited to 27 bytes *)
   | File_too_large
-  | Not_formatted
-  | Not_a_directory  (** hierarchical: path component is a regular file *)
-  | Is_a_directory  (** hierarchical: file operation on a directory *)
-  | Directory_not_empty  (** hierarchical: delete of a non-empty directory *)
-  | Invalid_path  (** hierarchical: empty path, or rename into own subtree *)
-  | Corrupt of string
+  | Not_formatted  (** mount: bad magic *)
+  | Not_a_directory  (** path component is a regular file *)
+  | Is_a_directory  (** file operation on a directory *)
+  | Directory_not_empty  (** delete of a non-empty directory *)
+  | Invalid_path  (** empty path, or rename into own subtree *)
+  | Corrupt of string  (** fsck or mount found an inconsistency *)
 
 val error_to_string : error -> string
 
@@ -30,6 +30,11 @@ val max_name : int
 (** Longest directory-entry name (27 bytes). *)
 
 val dirent_size : int
+
+val file_kind : char
+val dir_kind : char
+(** Inode kind bytes of a regular file and of a directory. *)
+
 val max_file_bytes : int
 (** Largest representable file: [(11 + 128) * 512] bytes. *)
 
@@ -41,10 +46,10 @@ module Make (Dev : Blockdev.Device_intf.S) : sig
 
   (** {1 Formatting and mounting} *)
 
-  val format : flavour:char -> n_inodes:int -> root_kind:char -> Dev.t -> (t, error) result
-  (** Lay out a fresh file system; inode 0 is created with [root_kind]. *)
+  val format : n_inodes:int -> Dev.t -> (t, error) result
+  (** Lay out a fresh file system; inode 0 is the empty root directory. *)
 
-  val mount : flavour:char -> Dev.t -> (t, error) result
+  val mount : Dev.t -> (t, error) result
 
   (** {1 Inodes} *)
 

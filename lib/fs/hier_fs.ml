@@ -4,9 +4,8 @@ type entry = { name : string; kind : entry_kind }
 
 type stats = { size : int; blocks_used : int; inode : int; kind : entry_kind }
 
-let flavour = 'H'
-let file_kind = 'f'
-let dir_kind = 'd'
+let file_kind = Fs_core.file_kind
+let dir_kind = Fs_core.dir_kind
 let root_inode = 0
 let dirent_size = Fs_core.dirent_size
 
@@ -25,8 +24,8 @@ module Make (Dev : Blockdev.Device_intf.S) = struct
 
   let device = Core.device
 
-  let format ?(n_inodes = 128) dev = Core.format ~flavour ~n_inodes ~root_kind:dir_kind dev
-  let mount dev = Core.mount ~flavour dev
+  let format ?(n_inodes = 128) dev = Core.format ~n_inodes dev
+  let mount = Core.mount
 
   (* ---------------------------------------------------------------- *)
   (* Directory primitives (work on any directory inode)                *)
@@ -231,6 +230,8 @@ module Make (Dev : Blockdev.Device_intf.S) = struct
   let kind_of t path =
     let* _, ino = resolve t path in
     Ok (kind_of_char ino.Core.kind)
+
+  let free_blocks = Core.free_blocks
 
   let stat t path =
     let* idx, ino = resolve t path in

@@ -1,17 +1,26 @@
-(** A hierarchical file system over the ordinary block-device interface.
+(** A small UNIX-style file system over the ordinary block-device interface.
 
-    Same on-disk machinery as {!Flat_fs} ({!Fs_core}: 512-byte blocks,
-    64-byte inodes, singly indirect pointers), plus directories: an inode
-    is either a regular file or a directory whose contents are 32-byte
-    entries naming children.  Inode 0 is the root directory.
+    The point of this module in the reproduction is the paper's transparency
+    argument (Section 2): because the reliable device presents the same
+    interface as one disk, "the file system requires no modification and
+    normal file system semantics are preserved".  [Hier_fs] is accordingly a
+    functor over {!Blockdev.Device_intf.S}: the {e same} code mounts a
+    {!Blockdev.Mem_device} or a [Blockrep.Reliable_device].
+
+    On-disk layout ({!Fs_core}; 512-byte blocks, big-endian integers):
+    - block 0: superblock (magic, geometry);
+    - allocation bitmap, one byte per data block;
+    - inode table, 64-byte inodes (8 per block): flags, size, 11 direct
+      block pointers, 1 singly indirect pointer — files up to
+      [(11 + 128) * 512] bytes;
+    - inode 0 is the root directory.  An inode is a regular file or a
+      directory whose contents are 32-byte entries naming children.
 
     Paths are slash-separated, absolute or not ("/a/b" ≡ "a/b"); each
     component is limited to 27 bytes.  There are no hard links, so the
-    namespace is a tree and every inode has exactly one parent.
-
-    Like {!Flat_fs}, this is a functor over {!Blockdev.Device_intf.S} and
-    runs unchanged on one disk or on a replicated reliable device — the
-    point of the paper's Section 2. *)
+    namespace is a tree and every inode has exactly one parent.  Files
+    kept at the root ("name") make a flat file system.  Unallocated file
+    ranges read back as zeroes (sparse files). *)
 
 type entry_kind = File | Directory
 
@@ -23,9 +32,13 @@ module Make (Dev : Blockdev.Device_intf.S) : sig
   type t
 
   val format : ?n_inodes:int -> Dev.t -> (t, Fs_core.error) result
-  (** Fresh hierarchical file system (default 128 inodes), root mounted. *)
+  (** Write a fresh file system (default 128 inodes) and return it
+      mounted.  [No_space] when the device cannot hold the superblock,
+      bitmap and inode table plus one data block. *)
 
   val mount : Dev.t -> (t, Fs_core.error) result
+  (** Read and validate the superblock of an already formatted device. *)
+
   val device : t -> Dev.t
 
   (** {1 Directories} *)
@@ -60,6 +73,9 @@ module Make (Dev : Blockdev.Device_intf.S) : sig
   val exists : t -> string -> bool
   val kind_of : t -> string -> (entry_kind, Fs_core.error) result
   val stat : t -> string -> (stats, Fs_core.error) result
+
+  val free_blocks : t -> (int, Fs_core.error) result
+  (** Unallocated data blocks remaining. *)
 
   val rename : t -> string -> string -> (unit, Fs_core.error) result
   (** [rename t src dst] moves a file or directory to a new path, whose

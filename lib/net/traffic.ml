@@ -79,8 +79,8 @@ let rejected_snapshot t =
 
 let accumulate ~into src =
   (* Both tables have the same fixed geometry, so cell-wise addition is
-     the whole merge; used to fold per-shard traffic into a campaign
-     total in shard-id order. *)
+     the whole merge: folding per-lane tables in lane order gives the
+     totals of one unsharded run. *)
   for i = 0 to Array.length into.cells - 1 do
     into.cells.(i) <- into.cells.(i) + src.cells.(i);
     into.byte_cells.(i) <- into.byte_cells.(i) + src.byte_cells.(i)

@@ -14,9 +14,6 @@
     lane — so the schedule (parallel, sequential, or anything in
     between) cannot influence the value returned. *)
 
-val parallel_available : bool
-(** [true] iff this build can actually run lanes on separate domains. *)
-
 val recommended_domains : unit -> int
 (** The runtime's parallelism hint ([Domain.recommended_domain_count] on
     OCaml 5); [1] on 4.14. *)

@@ -1,40 +1,21 @@
 (* Sharded execution of independent simulation units.
 
-   The determinism story: a campaign or sweep is first decomposed into
-   self-contained logical units (virtual block groups, chaos seeds, bench
-   cells) whose identity and seeds depend only on the experiment
-   parameters — never on the shard count.  [map_tasks] then distributes
-   those units over at most [shards] lanes in contiguous, balanced
-   chunks and reassembles the results in unit order.  Because every unit
-   builds its own engine, cluster and PRNG from [lane_seed]-style
-   derivation, the shard count controls only how many domains execute
-   the fold, not what any unit computes — so [--shards n] is
+   The determinism story: a sweep is first decomposed into
+   self-contained units (chaos seeds, bench cells) whose identity and
+   seeds depend only on the experiment parameters — never on the shard
+   count.  [map_tasks] then distributes those units over at most
+   [shards] lanes in contiguous, balanced chunks and reassembles the
+   results in unit order.  Because every unit builds its own engine,
+   cluster and PRNG, the shard count controls only how many domains
+   execute the fold, not what any unit computes — so [--shards n] is
    bit-identical to [--shards 1] by construction. *)
 
-let shard_of_block ~shards block =
-  if shards <= 0 then invalid_arg "Shard_engine.shard_of_block: shards must be positive";
-  (* Stable hash: the low bits of a block id are correlated with
-     placement patterns in workloads, so mix through SplitMix64 before
-     reducing.  [land max_int] clears the sign bit ([derive] returns the
-     full 63-bit range). *)
-  Util.Prng.derive ~seed:block 0 land max_int mod shards
-
-let lane_seed ~seed ~shard =
-  if shard < 0 then invalid_arg "Shard_engine.lane_seed: negative shard id";
-  Util.Prng.derive ~seed shard
-
-type stats = { lanes_used : int; parallel : bool }
-
-let plan_lanes ~shards ~tasks =
+let map_tasks ~shards ~tasks f =
   if shards <= 0 then invalid_arg "Shard_engine.map_tasks: shards must be positive";
   if tasks < 0 then invalid_arg "Shard_engine.map_tasks: negative task count";
-  let lanes = min shards (max tasks 1) in
-  { lanes_used = lanes; parallel = Domains_compat.parallel_available && lanes > 1 }
-
-let map_tasks ~shards ~tasks f =
-  let { lanes_used = lanes; _ } = plan_lanes ~shards ~tasks in
   if tasks = 0 then [||]
   else begin
+    let lanes = min shards tasks in
     (* Contiguous balanced chunks: lane [l] covers [lo, hi).  Chunking
        only affects which domain runs a unit, never the unit itself. *)
     let chunk lane =

@@ -1,11 +1,10 @@
 (** Sharded execution of independent simulation units.
 
-    Million-block campaigns spend their time in embarrassingly parallel
-    folds: every virtual block group, chaos seed or bench cell is a
-    self-contained simulation whose seed derives from the experiment
-    parameters alone.  This module distributes those units over OCaml 5
-    domains (via {!Domains_compat}) while keeping the result a pure
-    function of the unit list:
+    Chaos sweeps and bench cells are embarrassingly parallel folds: every
+    chaos seed or bench cell is a self-contained simulation whose seed
+    derives from the experiment parameters alone.  This module
+    distributes those units over OCaml 5 domains (via {!Domains_compat})
+    while keeping the result a pure function of the unit list:
 
     - units are identified and seeded {e before} sharding, so the shard
       count never changes what any unit computes;
@@ -13,30 +12,11 @@
       in unit order, so [--shards n] is bit-identical to [--shards 1]
       whether lanes ran on domains (OCaml 5) or sequentially (4.14). *)
 
-val shard_of_block : shards:int -> int -> int
-(** [shard_of_block ~shards block] is the stable shard owning [block]:
-    the block id mixed through SplitMix64 and reduced mod [shards].
-    Depends only on [block] and [shards].  Raises [Invalid_argument]
-    when [shards <= 0]. *)
-
-val lane_seed : seed:int -> shard:int -> int
-(** [lane_seed ~seed ~shard] derives the PRNG seed for one shard's lane
-    from the campaign seed: distinct shards get decorrelated SplitMix64
-    streams, and the derivation is independent of how many shards exist.
-    Raises [Invalid_argument] on a negative shard id. *)
-
-type stats = { lanes_used : int; parallel : bool }
-(** How a [map_tasks] call would execute: the number of lanes actually
-    used ([min shards (max tasks 1)]) and whether they run on domains. *)
-
-val plan_lanes : shards:int -> tasks:int -> stats
-(** Raises [Invalid_argument] when [shards <= 0] or [tasks < 0]. *)
-
 val map_tasks : shards:int -> tasks:int -> (int -> 'a) -> 'a array
 (** [map_tasks ~shards ~tasks f] computes [[| f 0; ...; f (tasks - 1) |]],
-    running chunks of tasks on up to [shards] parallel lanes.  [f] must
-    be self-contained (no shared mutable state; build per-task engines
-    and PRNGs from derived seeds).  The result is independent of
+    running chunks of tasks on [min shards tasks] parallel lanes.  [f]
+    must be self-contained (no shared mutable state; build per-task
+    engines and PRNGs from derived seeds).  The result is independent of
     [shards].  Raises [Invalid_argument] when [shards <= 0] or
     [tasks < 0]. *)
 

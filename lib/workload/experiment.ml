@@ -216,127 +216,6 @@ let measure_repair_cost ~scheme ~n_sites ?(ops = 400) ?(rot_every = 10) ?(seed =
        else float_of_int repair_messages /. float_of_int total_messages);
   }
 
-type campaign_sample = {
-  scheme : Blockrep.Types.scheme;
-  n_sites : int;
-  n_blocks : int;
-  groups : int;
-  shards : int;
-  lanes_used : int;
-  parallel : bool;
-  issued : int;
-  read_ok : int;
-  read_failed : int;
-  write_ok : int;
-  write_failed : int;
-  read_latency : Util.Stats.t;
-  write_latency : Util.Stats.t;
-  latency_hist : Util.Stats.Histogram.t;
-  traffic : Net.Traffic.t;
-  total_messages : int;
-  total_bytes : int;
-}
-
-(* Latency histograms share one geometry so per-group histograms merge;
-   closed-loop latencies are short vote round trips, well inside [0, 1)
-   virtual seconds (out-of-range samples land in overflow, not a bin). *)
-let campaign_hist () = Util.Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:100
-
-(* One self-contained unit of a sharded campaign: group [g] simulates its
-   slice of the block space on its own cluster, seeded from the campaign
-   seed and the group id alone — never from the shard count.  Runs on
-   whatever lane [Shard_engine] assigns it. *)
-let campaign_group ~scheme ~n_sites ~reads_per_write ~seed ~ops g blocks =
-  let hist = campaign_hist () in
-  if blocks = 0 then (None, hist)
-  else begin
-    let group_seed = Sim.Shard_engine.lane_seed ~seed ~shard:g in
-    let config = Blockrep.Config.make_exn ~scheme ~n_sites ~n_blocks:blocks ~seed:group_seed () in
-    let cluster = Blockrep.Cluster.create config in
-    let gen =
-      Access_gen.create
-        ~rng:(Util.Prng.create (group_seed + 1))
-        ~n_blocks:blocks ~reads_per_write ()
-    in
-    let results =
-      Runner.run_closed_loop
-        ~observe:(fun _op latency -> Util.Stats.Histogram.add hist latency)
-        cluster gen ~site:(g mod n_sites) ~ops
-    in
-    Blockrep.Cluster.settle cluster;
-    (Some (results, Blockrep.Cluster.traffic cluster), hist)
-  end
-
-let measure_campaign ~scheme ~n_sites ~n_blocks ~shards ?(groups = 16) ?(ops_per_group = 200)
-    ?(reads_per_write = 2.0) ?(seed = 41) () =
-  if n_blocks <= 0 then invalid_arg "Experiment.measure_campaign: n_blocks must be positive";
-  if groups <= 0 then invalid_arg "Experiment.measure_campaign: groups must be positive";
-  if ops_per_group < 0 then invalid_arg "Experiment.measure_campaign: negative ops_per_group";
-  (* Partition the block space into [groups] virtual groups by stable
-     hash.  The partition depends only on (n_blocks, groups): [shards]
-     below controls execution width alone, which is what makes
-     [--shards n] bit-identical to [--shards 1]. *)
-  let sizes = Array.make groups 0 in
-  for b = 0 to n_blocks - 1 do
-    let g = Sim.Shard_engine.shard_of_block ~shards:groups b in
-    sizes.(g) <- sizes.(g) + 1
-  done;
-  (* Seal the histogram before it crosses the domain boundary: lanes
-     capture an immutable list, never the mutable array. *)
-  let group_sizes = Array.to_list sizes in
-  let plan = Sim.Shard_engine.plan_lanes ~shards ~tasks:groups in
-  let per_group =
-    Sim.Shard_engine.map_tasks ~shards ~tasks:groups (fun g ->
-        campaign_group ~scheme ~n_sites ~reads_per_write ~seed ~ops:ops_per_group g
-          (List.nth group_sizes g))
-  in
-  (* Deterministic merge, in group-id order (map_tasks already returns
-     task order regardless of lane assignment). *)
-  let traffic = Net.Traffic.create () in
-  let issued = ref 0
-  and read_ok = ref 0
-  and read_failed = ref 0
-  and write_ok = ref 0
-  and write_failed = ref 0 in
-  let read_latency = ref (Util.Stats.create ())
-  and write_latency = ref (Util.Stats.create ())
-  and latency_hist = ref (campaign_hist ()) in
-  Array.iter
-    (fun (outcome, hist) ->
-      latency_hist := Util.Stats.Histogram.merge !latency_hist hist;
-      match outcome with
-      | None -> ()
-      | Some (r, t) ->
-          issued := !issued + r.Runner.issued;
-          read_ok := !read_ok + r.Runner.read_ok;
-          read_failed := !read_failed + r.Runner.read_failed;
-          write_ok := !write_ok + r.Runner.write_ok;
-          write_failed := !write_failed + r.Runner.write_failed;
-          read_latency := Util.Stats.merge !read_latency r.Runner.read_latency;
-          write_latency := Util.Stats.merge !write_latency r.Runner.write_latency;
-          Net.Traffic.accumulate ~into:traffic t)
-    per_group;
-  {
-    scheme;
-    n_sites;
-    n_blocks;
-    groups;
-    shards;
-    lanes_used = plan.Sim.Shard_engine.lanes_used;
-    parallel = plan.Sim.Shard_engine.parallel;
-    issued = !issued;
-    read_ok = !read_ok;
-    read_failed = !read_failed;
-    write_ok = !write_ok;
-    write_failed = !write_failed;
-    read_latency = !read_latency;
-    write_latency = !write_latency;
-    latency_hist = !latency_hist;
-    traffic;
-    total_messages = Net.Traffic.total traffic;
-    total_bytes = Net.Traffic.total_bytes traffic;
-  }
-
 type degradation_sample = {
   scheme : Blockrep.Types.scheme;
   n_sites : int;

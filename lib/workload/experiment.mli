@@ -130,49 +130,6 @@ val measure_repair_cost :
     surviving the decay — zero in a fault-free run, so the overhead column
     is the marginal price of the storage fault model. *)
 
-type campaign_sample = {
-  scheme : Blockrep.Types.scheme;
-  n_sites : int;
-  n_blocks : int;  (** total logical block space across all groups *)
-  groups : int;  (** virtual groups the space was partitioned into *)
-  shards : int;  (** execution width requested *)
-  lanes_used : int;  (** lanes actually used, [min shards groups] *)
-  parallel : bool;  (** whether lanes ran on OCaml 5 domains *)
-  issued : int;
-  read_ok : int;
-  read_failed : int;
-  write_ok : int;
-  write_failed : int;
-  read_latency : Util.Stats.t;  (** merged across groups (Chan et al.) *)
-  write_latency : Util.Stats.t;
-  latency_hist : Util.Stats.Histogram.t;
-      (** merged per-group latency histograms, bin-exact *)
-  traffic : Net.Traffic.t;  (** cell-wise sum of every group's table *)
-  total_messages : int;
-  total_bytes : int;
-}
-
-val measure_campaign :
-  scheme:Blockrep.Types.scheme ->
-  n_sites:int ->
-  n_blocks:int ->
-  shards:int ->
-  ?groups:int ->
-  ?ops_per_group:int ->
-  ?reads_per_write:float ->
-  ?seed:int ->
-  unit ->
-  campaign_sample
-(** Large-block-space campaign, sharded over domains.  The block space is
-    partitioned into [groups] (default 16) virtual groups by stable hash
-    of the block id; each group runs [ops_per_group] closed-loop
-    operations (default 200) on its own cluster, seeded from the campaign
-    [seed] and its group id.  [shards] sets only how many parallel lanes
-    execute the groups — the partition, the per-group seeds and the
-    group-id-order merge are all independent of it, so every field except
-    [shards]/[lanes_used]/[parallel] is bit-identical across
-    shard counts (and across the OCaml 4.14 sequential fallback). *)
-
 type degradation_sample = {
   scheme : Blockrep.Types.scheme;
   n_sites : int;

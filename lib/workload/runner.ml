@@ -53,7 +53,7 @@ let results_of c ~span =
 
 (* Issue one operation asynchronously, accounting outcome and latency when
    its callback lands. *)
-let issue_at ?(observe = fun (_ : Access_gen.op) (_ : float) -> ()) cluster c site op =
+let issue_at cluster c site op =
   let engine = Blockrep.Cluster.engine cluster in
   let started = Sim.Engine.now engine in
   let latency () = Sim.Engine.now engine -. started in
@@ -63,35 +63,31 @@ let issue_at ?(observe = fun (_ : Access_gen.op) (_ : float) -> ()) cluster c si
       Blockrep.Cluster.read cluster ~site ~block (function
         | Ok _ ->
             c.read_ok <- c.read_ok + 1;
-            let l = latency () in
-            Util.Stats.add c.read_latency l;
-            observe op l
+            Util.Stats.add c.read_latency (latency ())
         | Error _ -> c.read_failed <- c.read_failed + 1)
   | Access_gen.Write (block, data) ->
       Blockrep.Cluster.write cluster ~site ~block data (function
         | Ok _ ->
             c.write_ok <- c.write_ok + 1;
-            let l = latency () in
-            Util.Stats.add c.write_latency l;
-            observe op l
+            Util.Stats.add c.write_latency (latency ())
         | Error _ -> c.write_failed <- c.write_failed + 1)
 
 (* Synchronous issue: run the engine until this operation settles. *)
 let completed c = c.read_ok + c.read_failed + c.write_ok + c.write_failed
 
-let issue_sync ?observe cluster c site op =
+let issue_sync cluster c site op =
   let engine = Blockrep.Cluster.engine cluster in
   let before = completed c in
-  issue_at ?observe cluster c site op;
+  issue_at cluster c site op;
   while completed c = before && Sim.Engine.step engine do
     ()
   done
 
-let run_closed_loop ?observe cluster gen ~site ~ops =
+let run_closed_loop cluster gen ~site ~ops =
   let c = fresh_counters () in
   let start = Sim.Engine.now (Blockrep.Cluster.engine cluster) in
   for _ = 1 to ops do
-    issue_sync ?observe cluster c site (Access_gen.next gen)
+    issue_sync cluster c site (Access_gen.next gen)
   done;
   results_of c ~span:(Sim.Engine.now (Blockrep.Cluster.engine cluster) -. start)
 

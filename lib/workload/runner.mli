@@ -23,20 +23,12 @@ val mean_read_latency : results -> float
 
 val mean_write_latency : results -> float
 
-val run_closed_loop :
-  ?observe:(Access_gen.op -> float -> unit) ->
-  Blockrep.Cluster.t ->
-  Access_gen.t ->
-  site:int ->
-  ops:int ->
-  results
+val run_closed_loop : Blockrep.Cluster.t -> Access_gen.t -> site:int -> ops:int -> results
 (** Issue [ops] operations one after another from [site], each waiting for
     the previous to settle (the reliable device's usage pattern).  Operations
     failing because the site is down are counted as failures and the run
     continues — with an attached failure generator the site may well be
-    down for a while.  [observe] (default: nothing) is called with each
-    {e successful} operation and its virtual-time latency, in completion
-    order — sharded campaigns use it to fill per-group histograms. *)
+    down for a while. *)
 
 val run_open_loop :
   Blockrep.Cluster.t ->

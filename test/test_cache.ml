@@ -2,22 +2,24 @@
 
 module Cache = Fs.Buffer_cache.Make (Blockdev.Mem_device)
 module Cache_on_reliable = Fs.Buffer_cache.Make (Blockrep.Reliable_device)
-module Fs_on_cache = Fs.Flat_fs.Make (Fs.Buffer_cache.Make (Blockrep.Reliable_device))
+module Fs_on_cache = Fs.Hier_fs.Make (Cache_on_reliable)
+module Fs_on_reliable = Fs.Hier_fs.Make (Blockrep.Reliable_device)
 module Block = Blockdev.Block
 
 let make ?(dev_capacity = 32) ?(cache_capacity = 4) () =
   let dev = Blockdev.Mem_device.create ~capacity:dev_capacity in
   (dev, Cache.create ~capacity:cache_capacity dev)
 
-let test_capacity_is_cache_budget () =
-  (* Regression: [capacity] used to delegate to the underlying device
-     (the functor argument shadowed the record field), reporting 32 for a
-     4-block cache. *)
+let fs_ok = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "fs error: %s" (Fs.Fs_core.error_to_string e)
+
+let test_capacity_is_device_size () =
+  (* [capacity] is the [Device_intf.S] block count: every block of the
+     device is addressable through the cache, whatever its frame budget. *)
   let dev, cache = make ~dev_capacity:32 ~cache_capacity:4 () in
-  Alcotest.(check int) "capacity is the cache budget" 4 (Cache.capacity cache);
-  Alcotest.(check int) "device_capacity is the device's" 32 (Cache.device_capacity cache);
-  Alcotest.(check int) "device agrees" (Blockdev.Mem_device.capacity dev)
-    (Cache.device_capacity cache)
+  Alcotest.(check int) "capacity is the device's" 32 (Cache.capacity cache);
+  Alcotest.(check int) "device agrees" (Blockdev.Mem_device.capacity dev) (Cache.capacity cache)
 
 let test_passthrough_read () =
   let dev, cache = make () in
@@ -121,28 +123,30 @@ let test_cache_cuts_voting_read_traffic () =
   Alcotest.(check int) "ten hot reads cost zero vote rounds" before after;
   Alcotest.(check int) "all hits" 10 (Cache_on_reliable.hits cache)
 
+let nac_device ~seed =
+  Blockrep.Reliable_device.of_config
+    (Blockrep.Config.make_exn ~scheme:Blockrep.Types.Naive_available_copy ~n_sites:3 ~n_blocks:128
+       ~seed ())
+
 let test_fs_runs_on_cached_reliable_device () =
-  (* Full stack: Flat_fs -> Buffer_cache -> Reliable_device. *)
-  let device =
-    Blockrep.Reliable_device.of_config
-      (Blockrep.Config.make_exn ~scheme:Blockrep.Types.Naive_available_copy ~n_sites:3 ~n_blocks:128
-         ~seed:1111 ())
-  in
-  let cache = Cache_on_reliable.create ~capacity:16 device in
-  let fs =
-    match Fs_on_cache.format cache with
-    | Ok fs -> fs
-    | Error e -> Alcotest.failf "format: %s" (Fs.Flat_fs.error_to_string e)
-  in
-  let ok = function
-    | Ok v -> v
-    | Error e -> Alcotest.failf "fs error: %s" (Fs.Flat_fs.error_to_string e)
-  in
-  ok (Fs_on_cache.create fs "stacked");
-  ok (Fs_on_cache.write fs "stacked" (Bytes.of_string "through every layer"));
+  (* Full stack: Hier_fs -> Buffer_cache -> Reliable_device.  The file
+     system must see the whole device through the 16-frame cache: the
+     same free space as on the bare device, and room for a 40-block file. *)
+  let cache = Cache_on_reliable.create ~capacity:16 (nac_device ~seed:1111) in
+  let fs = fs_ok (Fs_on_cache.format cache) in
+  let bare = fs_ok (Fs_on_reliable.format (nac_device ~seed:1111)) in
+  Alcotest.(check int) "free blocks as on the bare device"
+    (fs_ok (Fs_on_reliable.free_blocks bare))
+    (fs_ok (Fs_on_cache.free_blocks fs));
+  fs_ok (Fs_on_cache.create fs "stacked");
+  fs_ok (Fs_on_cache.write fs "stacked" (Bytes.of_string "through every layer"));
   Alcotest.(check string) "full-stack roundtrip" "through every layer"
-    (Bytes.to_string (ok (Fs_on_cache.read fs "stacked")));
-  ok (Fs_on_cache.fsck fs);
+    (Bytes.to_string (fs_ok (Fs_on_cache.read fs "stacked")));
+  let data = Bytes.init (40 * Block.size) (fun i -> Char.chr (i mod 251)) in
+  fs_ok (Fs_on_cache.create fs "big");
+  fs_ok (Fs_on_cache.write fs "big" data);
+  Alcotest.(check bytes) "40-block file reads back" data (fs_ok (Fs_on_cache.read fs "big"));
+  fs_ok (Fs_on_cache.fsck fs);
   Alcotest.(check bool) "cache actually used" true (Cache_on_reliable.hits cache > 0)
 
 let prop_cache_transparent =
@@ -329,7 +333,7 @@ let () =
     [
       ( "cache",
         [
-          Alcotest.test_case "capacity is cache budget" `Quick test_capacity_is_cache_budget;
+          Alcotest.test_case "capacity is the device's" `Quick test_capacity_is_device_size;
           Alcotest.test_case "passthrough read" `Quick test_passthrough_read;
           Alcotest.test_case "hit on re-read" `Quick test_hit_on_second_read;
           Alcotest.test_case "write-through" `Quick test_write_through;

@@ -1,39 +1,43 @@
-(* Tests for Fs.Flat_fs, on both a plain memory device and the replicated
-   reliable device — the same functor body must behave identically. *)
+(* Tests for Fs.Hier_fs used as a flat file system (every file at the
+   root), on both a plain memory device and the replicated reliable
+   device — the same functor body must behave identically. *)
 
-module Mfs = Fs.Flat_fs.Make (Blockdev.Mem_device)
-module Rfs = Fs.Flat_fs.Make (Blockrep.Reliable_device)
+module Mfs = Fs.Hier_fs.Make (Blockdev.Mem_device)
+module Rfs = Fs.Hier_fs.Make (Blockrep.Reliable_device)
 module Block = Blockdev.Block
 
 let ok = function
   | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected fs error: %s" (Fs.Flat_fs.error_to_string e)
+  | Error e -> Alcotest.failf "unexpected fs error: %s" (Fs.Fs_core.error_to_string e)
 
 let err = function
   | Ok _ -> Alcotest.fail "expected an error"
   | Error e -> e
 
+(* 64 inodes: the geometry these cases were written for. *)
 let fresh_fs ?(capacity = 128) () =
   let dev = Blockdev.Mem_device.create ~capacity in
-  (dev, ok (Mfs.format dev))
+  (dev, ok (Mfs.format ~n_inodes:64 dev))
+
+let listing fs = List.map (fun e -> e.Fs.Hier_fs.name) (ok (Mfs.list fs "/"))
 
 let test_format_and_mount () =
   let dev, _fs = fresh_fs () in
   let fs = ok (Mfs.mount dev) in
-  Alcotest.(check (list string)) "fresh fs is empty" [] (ok (Mfs.list fs))
+  Alcotest.(check (list string)) "fresh fs is empty" [] (listing fs)
 
 let test_mount_unformatted () =
   let dev = Blockdev.Mem_device.create ~capacity:64 in
   match Mfs.mount dev with
-  | Error Fs.Flat_fs.Not_formatted -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Fs.Flat_fs.error_to_string e)
+  | Error Fs.Fs_core.Not_formatted -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Fs.Fs_core.error_to_string e)
   | Ok _ -> Alcotest.fail "mounted garbage"
 
 let test_format_too_small () =
   let dev = Blockdev.Mem_device.create ~capacity:3 in
-  match Mfs.format dev with
-  | Error Fs.Flat_fs.No_space -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Fs.Flat_fs.error_to_string e)
+  match Mfs.format ~n_inodes:64 dev with
+  | Error Fs.Fs_core.No_space -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Fs.Fs_core.error_to_string e)
   | Ok _ -> Alcotest.fail "formatted an impossibly small device"
 
 let test_create_write_read () =
@@ -47,25 +51,26 @@ let test_empty_file () =
   ok (Mfs.create fs "empty");
   Alcotest.(check int) "zero bytes" 0 (Bytes.length (ok (Mfs.read fs "empty")));
   let st = ok (Mfs.stat fs "empty") in
-  Alcotest.(check int) "no blocks" 0 st.Fs.Flat_fs.blocks_used
+  Alcotest.(check int) "no blocks" 0 st.Fs.Hier_fs.blocks_used
 
 let test_create_duplicate () =
   let _, fs = fresh_fs () in
   ok (Mfs.create fs "dup");
-  Alcotest.(check bool) "duplicate rejected" true (err (Mfs.create fs "dup") = Fs.Flat_fs.Already_exists)
+  Alcotest.(check bool) "duplicate rejected" true (err (Mfs.create fs "dup") = Fs.Fs_core.Already_exists)
 
 let test_missing_file () =
   let _, fs = fresh_fs () in
-  Alcotest.(check bool) "read missing" true (err (Mfs.read fs "ghost") = Fs.Flat_fs.Not_found);
+  Alcotest.(check bool) "read missing" true (err (Mfs.read fs "ghost") = Fs.Fs_core.Not_found);
   Alcotest.(check bool) "write missing" true
-    (err (Mfs.write fs "ghost" (Bytes.of_string "x")) = Fs.Flat_fs.Not_found);
-  Alcotest.(check bool) "delete missing" true (err (Mfs.delete fs "ghost") = Fs.Flat_fs.Not_found)
+    (err (Mfs.write fs "ghost" (Bytes.of_string "x")) = Fs.Fs_core.Not_found);
+  Alcotest.(check bool) "delete missing" true (err (Mfs.unlink fs "ghost") = Fs.Fs_core.Not_found)
 
 let test_bad_names () =
   let _, fs = fresh_fs () in
-  Alcotest.(check bool) "empty name" true (err (Mfs.create fs "") = Fs.Flat_fs.Name_too_long);
+  (* The empty path names the root, which cannot be created. *)
+  Alcotest.(check bool) "empty name" true (err (Mfs.create fs "") = Fs.Fs_core.Invalid_path);
   Alcotest.(check bool) "28-byte name" true
-    (err (Mfs.create fs (String.make 28 'n')) = Fs.Flat_fs.Name_too_long);
+    (err (Mfs.create fs (String.make 28 'n')) = Fs.Fs_core.Name_too_long);
   ok (Mfs.create fs (String.make 27 'n'))
 
 let test_multi_block_file () =
@@ -77,7 +82,7 @@ let test_multi_block_file () =
   Alcotest.(check int) "length" 3000 (Bytes.length back);
   Alcotest.(check bytes) "content" data back;
   let st = ok (Mfs.stat fs "big") in
-  Alcotest.(check int) "blocks used" 6 st.Fs.Flat_fs.blocks_used
+  Alcotest.(check int) "blocks used" 6 st.Fs.Hier_fs.blocks_used
 
 let test_indirect_blocks () =
   let _, fs = fresh_fs ~capacity:256 () in
@@ -93,7 +98,7 @@ let test_file_too_large () =
   ok (Mfs.create fs "toolarge");
   let max_bytes = (11 + 128) * 512 in
   Alcotest.(check bool) "beyond pointer reach" true
-    (err (Mfs.write fs "toolarge" ~offset:max_bytes (Bytes.of_string "x")) = Fs.Flat_fs.File_too_large)
+    (err (Mfs.write fs "toolarge" ~offset:max_bytes (Bytes.of_string "x")) = Fs.Fs_core.File_too_large)
 
 let test_offset_write_and_sparse () =
   let _, fs = fresh_fs () in
@@ -105,7 +110,7 @@ let test_offset_write_and_sparse () =
   Alcotest.(check string) "tail present" "tail" (Bytes.sub_string back 2000 4);
   (* Holes consume no blocks. *)
   let st = ok (Mfs.stat fs "sparse") in
-  Alcotest.(check int) "only the tail block allocated" 1 st.Fs.Flat_fs.blocks_used;
+  Alcotest.(check int) "only the tail block allocated" 1 st.Fs.Hier_fs.blocks_used;
   ok (Mfs.fsck fs)
 
 let test_overwrite_middle () =
@@ -133,7 +138,7 @@ let test_read_range () =
   Alcotest.(check string) "middle range" "345"
     (Bytes.to_string (ok (Mfs.read_range fs "ranged" ~offset:3 ~length:3)));
   Alcotest.(check bool) "past the end rejected" true
-    (err (Mfs.read_range fs "ranged" ~offset:8 ~length:5) = Fs.Flat_fs.Not_found)
+    (err (Mfs.read_range fs "ranged" ~offset:8 ~length:5) = Fs.Fs_core.Not_found)
 
 let test_delete_frees_space () =
   let _, fs = fresh_fs () in
@@ -143,7 +148,7 @@ let test_delete_frees_space () =
   let free0 = ok (Mfs.free_blocks fs) in
   ok (Mfs.write fs "temp" (Bytes.make 2048 'x'));
   Alcotest.(check int) "space consumed" (free0 - 4) (ok (Mfs.free_blocks fs));
-  ok (Mfs.delete fs "temp");
+  ok (Mfs.unlink fs "temp");
   Alcotest.(check int) "file blocks reclaimed" free0 (ok (Mfs.free_blocks fs));
   Alcotest.(check bool) "gone" false (Mfs.exists fs "temp");
   ok (Mfs.fsck fs)
@@ -166,10 +171,10 @@ let test_many_files () =
       ok (Mfs.create fs n);
       ok (Mfs.write fs n (Bytes.of_string n)))
     names;
-  Alcotest.(check (list string)) "directory" names (List.sort compare (ok (Mfs.list fs)));
+  Alcotest.(check (list string)) "directory" names (List.sort compare (listing fs));
   List.iter (fun n -> Alcotest.(check string) n n (Bytes.to_string (ok (Mfs.read fs n)))) names;
   (* Delete the odd ones and check the survivors. *)
-  List.iteri (fun i n -> if i mod 2 = 1 then ok (Mfs.delete fs n)) names;
+  List.iteri (fun i n -> if i mod 2 = 1 then ok (Mfs.unlink fs n)) names;
   List.iteri
     (fun i n ->
       if i mod 2 = 0 then Alcotest.(check bool) "kept" true (Mfs.exists fs n)
@@ -181,18 +186,18 @@ let test_out_of_space () =
   let _, fs = fresh_fs ~capacity:16 () in
   ok (Mfs.create fs "filler");
   match Mfs.write fs "filler" (Bytes.make (64 * 512) 'f') with
-  | Error (Fs.Flat_fs.No_space | Fs.Flat_fs.File_too_large) -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Fs.Flat_fs.error_to_string e)
+  | Error (Fs.Fs_core.No_space | Fs.Fs_core.File_too_large) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Fs.Fs_core.error_to_string e)
   | Ok () -> Alcotest.fail "wrote beyond capacity"
 
 let test_out_of_inodes () =
   let dev = Blockdev.Mem_device.create ~capacity:512 in
   let fs = ok (Mfs.format ~n_inodes:4 dev) in
-  (* Inode 0 is the directory, so 3 files fit. *)
+  (* Inode 0 is the root directory, so 3 files fit. *)
   ok (Mfs.create fs "a");
   ok (Mfs.create fs "b");
   ok (Mfs.create fs "c");
-  Alcotest.(check bool) "inode table exhausted" true (err (Mfs.create fs "d") = Fs.Flat_fs.No_space)
+  Alcotest.(check bool) "inode table exhausted" true (err (Mfs.create fs "d") = Fs.Fs_core.No_space)
 
 let test_remount_preserves_data () =
   let dev, fs = fresh_fs () in
@@ -208,9 +213,9 @@ let test_device_failure_mid_operation () =
   ok (Mfs.create fs "victim");
   Blockdev.Mem_device.fail dev;
   Alcotest.(check bool) "write surfaces unavailability" true
-    (err (Mfs.write fs "victim" (Bytes.of_string "x")) = Fs.Flat_fs.Device_unavailable);
+    (err (Mfs.write fs "victim" (Bytes.of_string "x")) = Fs.Fs_core.Device_unavailable);
   Alcotest.(check bool) "read surfaces unavailability" true
-    (err (Mfs.read fs "victim") = Fs.Flat_fs.Device_unavailable)
+    (err (Mfs.read fs "victim") = Fs.Fs_core.Device_unavailable)
 
 (* ------------------------------------------------------------------ *)
 (* Same file system on the replicated device                           *)
@@ -222,7 +227,7 @@ let reliable_fs () =
       (Blockrep.Config.make_exn ~scheme:Blockrep.Types.Available_copy ~n_sites:3 ~n_blocks:128
          ~seed:505 ())
   in
-  (device, ok (Rfs.format device))
+  (device, ok (Rfs.format ~n_inodes:64 device))
 
 let test_reliable_roundtrip () =
   let _, fs = reliable_fs () in
@@ -270,7 +275,7 @@ let prop_write_read_roundtrip =
       let _, fs = fresh_fs ~capacity:256 () in
       ok (Mfs.create fs "prop");
       match Mfs.write fs "prop" ~offset (Bytes.of_string data) with
-      | Error Fs.Flat_fs.File_too_large -> offset + String.length data > (11 + 128) * 512
+      | Error Fs.Fs_core.File_too_large -> offset + String.length data > (11 + 128) * 512
       | Error _ -> false
       | Ok () -> (
           match Mfs.read_range fs "prop" ~offset ~length:(String.length data) with
@@ -289,7 +294,7 @@ let prop_fsck_after_random_ops =
           match op with
           | 0 -> ignore (Mfs.create fs n)
           | 1 -> ignore (Mfs.write fs n (Bytes.make ((file + 1) * 300) 'p'))
-          | 2 -> ignore (Mfs.delete fs n)
+          | 2 -> ignore (Mfs.unlink fs n)
           | 3 -> ignore (Mfs.append fs n (Bytes.of_string "more"))
           | _ -> ignore (Mfs.truncate fs n))
         ops;

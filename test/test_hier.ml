@@ -21,17 +21,34 @@ let fresh ?(capacity = 256) () =
 
 let names entries = List.map (fun e -> e.Fs.Hier_fs.name) entries
 
+let image_md5 dev =
+  List.init (Blockdev.Mem_device.capacity dev) (fun k ->
+      Blockdev.Block.to_string (Option.get (Blockdev.Mem_device.read_block dev k)))
+  |> String.concat "" |> Digest.string |> Digest.to_hex
+
 let test_format_mount () =
-  let dev, _fs = fresh () in
+  let dev, _fs = fresh ~capacity:128 () in
+  (* The on-disk format is a contract with every disk already written. *)
+  Alcotest.(check string) "fresh image bytes" "5c881cd2ba9c2241cc1ce0f6320eb3ff" (image_md5 dev);
   let fs = ok (Hfs.mount dev) in
   Alcotest.(check (list string)) "empty root" [] (names (ok (Hfs.list fs "/")))
 
-let test_flavour_separation () =
-  (* A device formatted flat must not mount hierarchical, and vice versa. *)
+let test_flat_era_disk_mounts () =
+  (* The former flat file system wrote 'F' into superblock byte 32 and
+     kept every file at the root; such a disk mounts with its files. *)
   let dev = Blockdev.Mem_device.create ~capacity:128 in
-  let module Ffs = Fs.Flat_fs.Make (Blockdev.Mem_device) in
-  ignore (ok (Ffs.format dev));
-  expect_error Fs.Fs_core.Not_formatted (Hfs.mount dev)
+  let fs = ok (Hfs.format ~n_inodes:64 dev) in
+  ok (Hfs.create fs "motd");
+  ok (Hfs.write fs "motd" (Bytes.of_string "flat"));
+  ok (Hfs.create fs "log");
+  let sb = Option.get (Blockdev.Mem_device.read_block dev 0) in
+  Alcotest.(check char) "fresh superblock says H" 'H' (Blockdev.Block.get sb 32);
+  Alcotest.(check bool) "superblock rewritten" true
+    (Blockdev.Mem_device.write_block dev 0 (Blockdev.Block.set sb 32 'F'));
+  let fs = ok (Hfs.mount dev) in
+  Alcotest.(check (list string)) "files at the root" [ "motd"; "log" ] (names (ok (Hfs.list fs "/")));
+  Alcotest.(check string) "contents" "flat" (Bytes.to_string (ok (Hfs.read fs "motd")));
+  ok (Hfs.fsck fs)
 
 let test_mkdir_and_nesting () =
   let _, fs = fresh () in
@@ -268,7 +285,7 @@ let () =
       ( "structure",
         [
           Alcotest.test_case "format/mount" `Quick test_format_mount;
-          Alcotest.test_case "flavour separation" `Quick test_flavour_separation;
+          Alcotest.test_case "flat-era disk mounts" `Quick test_flat_era_disk_mounts;
           Alcotest.test_case "mkdir and nesting" `Quick test_mkdir_and_nesting;
           Alcotest.test_case "mkdir missing parent" `Quick test_mkdir_missing_parent;
           Alcotest.test_case "mkdir_p" `Quick test_mkdir_p;

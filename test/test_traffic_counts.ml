@@ -292,79 +292,6 @@ let test_multicast_broadcast_unreachable_cost_one () =
   Alcotest.(check int) "delivery unchanged by addressing mode" 2
     (Runtime.Transport.messages_delivered net - delivered0)
 
-(* Modeled vs measured wire size.
-
-   [Wire.size] is now the measured encoded-frame length; the legacy
-   analytic model survives as [Wire.model_size] purely as a cross-check.
-   Remaining divergence per category, and why:
-
-   - Block carriers (Block_update, Block_transfer, Vv_reply-with-updates,
-     Batch_update): within 15%.  The 512-byte payload
-     dominates both sides; the gap is the modeled 32-byte header vs the
-     9-byte frame plus 1–2-byte varints.
-
-   - Control messages (everything else): the model over-states by up to
-     ~75%.  It charges a 32-byte header and 4 bytes per integer where
-     the codec spends 9 frame bytes and 1–2-byte varints — consistently
-     conservative, never optimistic.
-
-   Two invariants hold across every category at protocol-realistic field
-   values: the model never under-estimates (measured <= modeled), and it
-   is never more than 5x the measured size. *)
-let test_model_vs_measured_size () =
-  let module Wire = Blockrep.Wire in
-  let set = Types.int_set_of_list in
-  let vv l =
-    let v = Blockdev.Version_vector.create (List.length l) in
-    List.iteri (fun i x -> Blockdev.Version_vector.set v i x) l;
-    v
-  in
-  let info =
-    { Wire.origin = 2; state = Types.Available; versions = vv [ 3; 0; 7; 1 ];
-      was_available = set [ 0; 2; 3 ] }
-  in
-  let carriers =
-    [
-      Wire.Block_update
-        { rid = Some 2; block = 3; version = 4; data = Block.zero; carried_w = set [ 0; 1 ] };
-      Wire.Block_transfer { rid = 3; block = 7; version = 4; data = Block.zero };
-      Wire.Vv_reply
-        { rid = 5; versions = vv [ 2; 2; 1; 0 ]; updates = [ (0, 2, Block.zero); (2, 1, Block.zero) ];
-          w_of_source = set [ 0; 1; 2 ] };
-      Wire.Batch_update
-        { rid = Some 7; writes = [ (0, 2, Block.zero); (4, 5, Block.zero) ]; carried_w = set [ 1 ] };
-    ]
-  in
-  let control =
-    [
-      Wire.Vote_request { rid = 11; block = 5; purpose = Net.Message.Write };
-      Wire.Vote_reply { rid = 11; block = 5; version = 9; weight = 2; group_size = 4 };
-      Wire.Write_ack { rid = 12; block = 0 };
-      Wire.Block_request { rid = 13; block = 7 };
-      Wire.Recovery_probe { rid = 14; info };
-      Wire.Recovery_reply { rid = 14; info };
-      Wire.Vv_send { rid = 15; versions = vv [ 1; 2; 0; 0 ]; w_of_sender = set [ 1 ] };
-      Wire.Group_fix { block = 3; version = 6; group = set [ 0; 2 ] };
-      Wire.Batch_vote_request { rid = 16; blocks = [ 0; 3; 5 ]; purpose = Net.Message.Read };
-      Wire.Batch_vote_reply { rid = 16; votes = [ (0, 1); (3, 2) ]; weight = 1; group_size = 5 };
-      Wire.Batch_ack { rid = 17; blocks = [ 0; 4 ] };
-    ]
-  in
-  let check_bounds ~tol m =
-    let modeled = Wire.model_size m and measured = Wire.size m in
-    let name = Wire.describe m in
-    if measured > modeled then
-      Alcotest.failf "%s: model under-estimates (measured %d > modeled %d)" name measured modeled;
-    if 5 * measured < modeled then
-      Alcotest.failf "%s: model exceeds 5x measured (%d vs %d)" name modeled measured;
-    let divergence = float_of_int (modeled - measured) /. float_of_int modeled in
-    if divergence > tol then
-      Alcotest.failf "%s: divergence %.3f exceeds documented tolerance %.2f (modeled %d, measured %d)"
-        name divergence tol modeled measured
-  in
-  List.iter (check_bounds ~tol:0.15) carriers;
-  List.iter (check_bounds ~tol:0.75) control
-
 let () =
   Alcotest.run "traffic-counts"
     [
@@ -381,7 +308,6 @@ let () =
           Alcotest.test_case "copy recovery unicast" `Quick test_copy_recovery_cost_unicast;
           Alcotest.test_case "stale voting read" `Quick test_stale_voting_read_extra;
           Alcotest.test_case "write group vs model" `Quick test_workload_mix_matches_model;
-          Alcotest.test_case "modeled vs measured size" `Quick test_model_vs_measured_size;
         ] );
       ( "faults-and-reachability",
         [

@@ -130,9 +130,9 @@ let test_categories_cover_accounting () =
 (* ------------------------------------------------------------------ *)
 
 let rejects ?n_blocks ?latency ?op_timeout ?quorum ?witnesses ?(scheme = Types.Voting) ~n_sites () =
-  match Config.make ~scheme ~n_sites ?n_blocks ?latency ?op_timeout ?quorum ?witnesses () with
-  | Error _ -> true
-  | Ok _ -> false
+  match Config.make_exn ~scheme ~n_sites ?n_blocks ?latency ?op_timeout ?quorum ?witnesses () with
+  | exception Invalid_argument _ -> true
+  | _ -> false
 
 let test_config_validation_matrix () =
   Alcotest.(check bool) "zero sites" true (rejects ~n_sites:0 ());

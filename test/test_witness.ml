@@ -28,9 +28,9 @@ let settle c = Cluster.run_until c (Sim.Engine.now (Cluster.engine c) +. 50.0)
 
 let test_config_validation () =
   let bad ?witnesses ?(scheme = Types.Voting) () =
-    match Blockrep.Config.make ~scheme ~n_sites:3 ?witnesses () with
-    | Error _ -> true
-    | Ok _ -> false
+    match Blockrep.Config.make_exn ~scheme ~n_sites:3 ?witnesses () with
+    | exception Invalid_argument _ -> true
+    | _ -> false
   in
   Alcotest.(check bool) "out-of-range witness" true (bad ~witnesses:[ 5 ] ());
   Alcotest.(check bool) "all witnesses" true (bad ~witnesses:[ 0; 1; 2 ] ());
