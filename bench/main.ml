@@ -769,7 +769,9 @@ let corruption_section () =
     let span = Sim.Engine.now engine -. t0 in
     Array.sort compare latencies;
     let quantile q = latencies.(min (Array.length latencies - 1) (int_of_float (q *. float_of_int (Array.length latencies)))) in
-    let deg = Blockrep.Reliable_device.degradation device in
+    let cluster = Blockrep.Reliable_device.cluster device in
+    let net = Blockrep.Cluster.network cluster in
+    let ingress = Blockrep.Runtime.Transport.ingress net in
     {
       co_rate = rate;
       co_issued = 2 * pairs;
@@ -778,12 +780,16 @@ let corruption_section () =
       co_goodput = (if span > 0.0 then float_of_int !ok /. span else 0.0);
       co_p50 = quantile 0.5;
       co_p99 = quantile 0.99;
-      co_corrupted = deg.Blockrep.Reliable_device.corrupted_deliveries;
-      co_rejected = deg.Blockrep.Reliable_device.frames_rejected;
-      co_retx = deg.Blockrep.Reliable_device.frames_retransmitted;
+      co_corrupted =
+        (match Blockrep.Cluster.faults cluster with
+        | Some f -> (Net.Faults.counters f).corrupted
+        | None -> 0);
+      co_rejected = Net.Network.frames_rejected ingress;
+      co_retx = ingress.retransmitted;
       co_conserved =
-        Blockrep.Reliable_device.wire_conserved deg
-        && Blockrep.Reliable_device.degradation_conserved deg;
+        Blockrep.Runtime.Transport.corruption_conserved net
+        && Blockrep.Reliable_device.degradation_conserved
+             (Blockrep.Reliable_device.degradation device);
     }
   in
   let rows = List.map run [ 0.0; 0.001; 0.01 ] in

@@ -9,10 +9,6 @@ let all_schemes = [ Voting; Available_copy; Naive_available_copy ]
 
 type environment = Multicast | Unique_address
 
-let environment_to_string = function
-  | Multicast -> "multicast"
-  | Unique_address -> "unique-address"
-
 let check ~n ~rho name =
   if n < 2 then invalid_arg (Printf.sprintf "Traffic_model.%s: need n >= 2" name);
   if rho < 0.0 then invalid_arg (Printf.sprintf "Traffic_model.%s: rho must be non-negative" name)

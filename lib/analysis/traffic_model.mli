@@ -28,8 +28,6 @@ val all_schemes : scheme list
 
 type environment = Multicast | Unique_address
 
-val environment_to_string : environment -> string
-
 val participation : scheme -> n:int -> rho:float -> float
 (** The U entering each scheme's costs. *)
 

@@ -13,8 +13,6 @@ let check ~n ~rho name =
   if n < 1 then invalid_arg (Printf.sprintf "Voting_model.%s: need n >= 1" name);
   if rho < 0.0 then invalid_arg (Printf.sprintf "Voting_model.%s: rho must be non-negative" name)
 
-let site_availability ~rho = 1.0 /. (1.0 +. rho)
-
 (* P(exactly k of n sites up) with site availability 1/(1+rho):
    C(n,k) rho^(n-k) / (1+rho)^n. *)
 let p_up ~n ~rho k = binomial n k *. (rho ** float_of_int (n - k)) /. ((1.0 +. rho) ** float_of_int n)

@@ -10,9 +10,6 @@ val availability : n:int -> rho:float -> float
     half-up state's probability; consequently
     [availability ~n:(2*k) = availability ~n:(2*k - 1)]. *)
 
-val site_availability : rho:float -> float
-(** [1/(1+ρ)], the availability of a single site. *)
-
 val availability_upper_bound : n:int -> rho:float -> float
 (** The bound used in the proof of Theorem 4.1:
     [A_V(2n-1) < 1 - C(2n-1, n) ρⁿ / (1+ρ)^{2n-1}], evaluated for odd

@@ -728,17 +728,19 @@ let run_against env ~cluster ~schedule =
      corruption the injector counted must have been classified exactly
      one way (decoder reject, quarantine discard, or survived decode). *)
   let invariants_final =
-    if Cluster.corruption_conserved cluster then invariants_final
+    let net = Cluster.network cluster in
+    if Runtime.Transport.corruption_conserved net then invariants_final
     else
+      let g = Runtime.Transport.ingress net in
+      let corrupted =
+        match Cluster.faults cluster with Some f -> (Net.Faults.counters f).corrupted | None -> 0
+      in
       invariants_final
       @ [
           Violation.make ~code:"wire-unconserved" ~time:(Sim.Engine.now engine)
             (Printf.sprintf
-               "corrupted deliveries %d <> rejected %d + quarantined %d + survived %d"
-               (Cluster.corrupted_deliveries cluster)
-               (Cluster.corrupt_rejected cluster)
-               (Cluster.corrupt_quarantined cluster)
-               (Cluster.corrupt_survived cluster));
+               "corrupted deliveries %d <> rejected %d + quarantined %d + survived %d" corrupted
+               g.corrupt_rejected g.corrupt_quarantined g.corrupt_survived);
         ]
   in
   for block = 0 to n_blocks - 1 do

@@ -131,6 +131,3 @@ let check ?(baseline = default_baseline) history =
           | _ -> ()))
     (History.entries history);
   List.rev !violations
-
-let first_violation ?baseline history =
-  match check ?baseline history with [] -> None | v :: _ -> Some v

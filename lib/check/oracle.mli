@@ -34,6 +34,3 @@ val check :
     ["non-sequential-history"], ["version-collision"],
     ["write-version-regression"], ["stale-read"], ["read-regression"],
     ["read-value-conflict"], ["phantom-read"]. *)
-
-val first_violation :
-  ?baseline:(int -> int * Blockdev.Block.t) -> History.t -> Violation.t option

@@ -75,14 +75,6 @@ let string w s =
   varint w (String.length s);
   raw_string w s
 
-let patch_u32 w ~pos v =
-  if not w.write then invalid_arg "Buf.patch_u32: counting writer";
-  if pos < 0 || pos + 4 > w.len then invalid_arg "Buf.patch_u32: out of range";
-  Bytes.unsafe_set w.buf pos (Char.unsafe_chr (v land 0xff));
-  Bytes.unsafe_set w.buf (pos + 1) (Char.unsafe_chr ((v lsr 8) land 0xff));
-  Bytes.unsafe_set w.buf (pos + 2) (Char.unsafe_chr ((v lsr 16) land 0xff));
-  Bytes.unsafe_set w.buf (pos + 3) (Char.unsafe_chr ((v lsr 24) land 0xff))
-
 (* Reader *)
 
 exception Short

@@ -41,10 +41,6 @@ val raw_string : w -> string -> unit
 val string : w -> string -> unit
 (** Varint length prefix followed by the bytes. *)
 
-val patch_u32 : w -> pos:int -> int -> unit
-(** Overwrite 4 already-emitted bytes (e.g. a checksum slot).  Raises
-    [Invalid_argument] on a counting writer or out-of-range position. *)
-
 exception Short
 (** Reader ran out of bytes. *)
 

@@ -37,17 +37,6 @@ let encoded_size ~payload =
   payload w;
   header_bytes + Buf.length w
 
-let encode_into w ~payload =
-  let start = Buf.length w in
-  Buf.u8 w magic;
-  Buf.u32 w 0 (* length, patched below *);
-  Buf.u32 w 0 (* crc, patched below *);
-  payload w;
-  let plen = Buf.length w - start - header_bytes in
-  Buf.patch_u32 w ~pos:(start + 1) plen;
-  let crc = Crc.digest_sub (Buf.contents w) ~pos:(start + header_bytes) ~len:plen in
-  Buf.patch_u32 w ~pos:(start + crc_offset) crc
-
 let encode ~payload =
   let w = Buf.counter () in
   payload w;

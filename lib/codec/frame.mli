@@ -25,10 +25,6 @@ val encode : payload:(Buf.w -> unit) -> Bytes.t
 (** Frame the payload emitter's output: one counting pass, one
     exactly-sized allocation, one writing pass, CRC patched in place. *)
 
-val encode_into : Buf.w -> payload:(Buf.w -> unit) -> unit
-(** Append a complete frame to an existing writing-mode buffer (used by
-    the durable journal, which follows the frame with a commit byte). *)
-
 val decode : Bytes.t -> (Buf.r, error) result
 (** Validate the whole buffer as exactly one frame and return a reader
     over its payload.  Never raises. *)

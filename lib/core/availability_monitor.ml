@@ -1,7 +1,6 @@
 type t = {
   engine : Sim.Engine.t;
   acc : Util.Stats.Timed.t;
-  start : float;
   mutable current : bool;
   mutable transitions : int;
   mutable outages : int;
@@ -14,7 +13,6 @@ let create engine ~initially =
   {
     engine;
     acc = Util.Stats.Timed.create ~at:now ~value:(if initially then 1.0 else 0.0);
-    start = now;
     current = initially;
     transitions = 0;
     outages = 0;
@@ -44,8 +42,6 @@ let current_outage t =
   Option.map (fun since -> Sim.Engine.now t.engine -. since) t.down_since
 
 let availability t = Util.Stats.Timed.average t.acc ~upto:(Sim.Engine.now t.engine)
-let time_observed t = Sim.Engine.now t.engine -. t.start
 let transitions t = t.transitions
 let outages t = t.outages
-let outage_durations t = t.durations
 let mean_time_to_repair t = Util.Stats.mean t.durations

@@ -17,7 +17,6 @@ val availability : t -> float
 (** Fraction of elapsed virtual time the system was available; [nan] before
     any time has passed. *)
 
-val time_observed : t -> float
 val transitions : t -> int
 (** Number of availability changes (up→down plus down→up). *)
 
@@ -28,14 +27,10 @@ val current_outage : t -> float option
 (** Elapsed duration of the outage in progress at the engine's current
     time, or [None] when the system is up.  An outage still in progress at
     the end of a measurement run is {e truncated}: it is absent from
-    {!outage_durations} and would silently bias MTTR low if ignored —
+    {!mean_time_to_repair} and would silently bias MTTR low if ignored —
     report it alongside. *)
 
-val outage_durations : t -> Util.Stats.t
-(** Durations of completed outages (an outage still in progress is not
-    included): the replicated system's observed repair-time distribution,
-    whose mean is its MTTR. *)
-
 val mean_time_to_repair : t -> float
-(** Mean completed-outage duration; [nan] before the first completed
-    outage. *)
+(** Mean completed-outage duration (an outage still in progress is not
+    included): the replicated system's observed MTTR; [nan] before the
+    first completed outage. *)

@@ -316,22 +316,6 @@ let heal_link t ~from ~dst =
   | Some f -> Net.Faults.set_link f ~from ~dst (Net.Faults.default_profile f)
   | None -> ()
 
-let frames_rejected t = Net.Traffic.frames_rejected (Runtime.Transport.traffic (Runtime.net t.rt))
-
-let frames_quarantined t =
-  Net.Traffic.frames_quarantined (Runtime.Transport.traffic (Runtime.net t.rt))
-
-let frames_retransmitted t = Runtime.Transport.frames_retransmitted (Runtime.net t.rt)
-let quarantine_trips t = Runtime.Transport.quarantine_trips (Runtime.net t.rt)
-
-let corrupted_deliveries t =
-  match faults t with Some f -> Net.Faults.corrupted_deliveries f | None -> 0
-
-let corrupt_rejected t = Runtime.Transport.corrupt_rejected (Runtime.net t.rt)
-let corrupt_quarantined t = Runtime.Transport.corrupt_quarantined (Runtime.net t.rt)
-let corrupt_survived t = Runtime.Transport.corrupt_survived (Runtime.net t.rt)
-let corruption_conserved t = Runtime.Transport.corruption_conserved (Runtime.net t.rt)
-
 let fail_site t i =
   Runtime.fail_site t.rt i;
   Availability_monitor.record t.monitor (system_available_rt t.protocol)

@@ -110,7 +110,9 @@ val heal : t -> unit
 
 val faults : t -> Net.Faults.t option
 (** The network's fault injector, if the config's profile was not pristine
-    (or one was installed later) — for counter reporting. *)
+    (or one was installed later).  The wire's counts live in two records:
+    the injector's {!Net.Faults.counters} and the network's ingress
+    ledger, [Runtime.Transport.ingress (network t)]. *)
 
 val install_faults : t -> Net.Faults.t -> unit
 (** Install a fault injector on the running cluster's network (per-link
@@ -125,34 +127,6 @@ val corrupt_link : t -> from:int -> dst:int -> unit
 
 val heal_link : t -> from:int -> dst:int -> unit
 (** Restore a corrupted link to the injector's default profile. *)
-
-(** {1 Hardened-ingress counters (encoded delivery)}
-
-    All read zero until the injector corrupts: before that, frames travel
-    in-heap and nothing is decoded. *)
-
-val frames_rejected : t -> int
-(** Frames the ingress decode refused, all reject classes summed. *)
-
-val frames_quarantined : t -> int
-(** Frames discarded undecoded under poison-frame quarantine. *)
-
-val frames_retransmitted : t -> int
-(** Link-layer redeliveries of rejected frames. *)
-
-val quarantine_trips : t -> int
-(** Times some (receiver, sender) link entered quarantine. *)
-
-val corrupted_deliveries : t -> int
-(** Deliveries the injector actually damaged. *)
-
-val corrupt_rejected : t -> int
-val corrupt_quarantined : t -> int
-val corrupt_survived : t -> int
-
-val corruption_conserved : t -> bool
-(** [corrupted_deliveries = corrupt_rejected + corrupt_quarantined +
-    corrupt_survived] — every injected corruption accounted for. *)
 
 (** {1 Storage faults}
 

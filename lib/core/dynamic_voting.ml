@@ -14,8 +14,6 @@ type t = {
   groups : Types.Int_set.t array array;
 }
 
-let group_of t site block = Int_set.cardinal t.groups.(site).(block)
-
 let group_key block = Printf.sprintf "group%d" block
 
 let set_group t site block g =

@@ -52,10 +52,6 @@ val write :
 val on_repair : t -> int -> unit
 (** No recovery: the site becomes available immediately. *)
 
-val group_of : t -> int -> Blockdev.Block.id -> int
-(** [group_of t site block]: the last-update-group cardinality site
-    [site] records for [block] (for tests and monitoring). *)
-
 val service_available : t -> bool
 (** The monitor predicate: for {e every} block, the up sites holding its
     globally newest version form a strict majority of its recorded

@@ -269,15 +269,6 @@ type degradation = {
   hedge_wins : int;
   breaker_trips : int;
   messages_shed : int;
-  faults_injected : int;
-  frames_rejected : int;
-  frames_quarantined : int;
-  frames_retransmitted : int;
-  quarantine_trips : int;
-  corrupted_deliveries : int;
-  corrupt_rejected : int;
-  corrupt_quarantined : int;
-  corrupt_survived : int;
   last_errors : (float * string) list;
 }
 
@@ -298,20 +289,8 @@ let degradation t =
     hedge_wins = Cluster.hedge_wins t.cluster;
     breaker_trips = Cluster.breaker_trips t.cluster;
     messages_shed = Cluster.messages_shed t.cluster;
-    faults_injected = (match Cluster.faults t.cluster with None -> 0 | Some f -> Net.Faults.total_injected f);
-    frames_rejected = Cluster.frames_rejected t.cluster;
-    frames_quarantined = Cluster.frames_quarantined t.cluster;
-    frames_retransmitted = Cluster.frames_retransmitted t.cluster;
-    quarantine_trips = Cluster.quarantine_trips t.cluster;
-    corrupted_deliveries = Cluster.corrupted_deliveries t.cluster;
-    corrupt_rejected = Cluster.corrupt_rejected t.cluster;
-    corrupt_quarantined = Cluster.corrupt_quarantined t.cluster;
-    corrupt_survived = Cluster.corrupt_survived t.cluster;
     last_errors = Retry.last_errors s;
   }
 
 let degradation_conserved d =
   d.requests = d.succeeded + d.timeouts + d.gave_up + d.rejected + d.shed
-
-let wire_conserved d =
-  d.corrupted_deliveries = d.corrupt_rejected + d.corrupt_quarantined + d.corrupt_survived

@@ -132,8 +132,10 @@ val in_flight : t -> int
     A structured snapshot of how hard the device is working to stay
     reliable: request and failover counts, retry/timeout counters from the
     {!Retry} layer, overload/gray-failure counters from the cluster's
-    robustness stack, fault-injection totals from the network, and the
-    most recent errors.  All zeros on a healthy, fault-free cluster. *)
+    robustness stack, and the most recent errors.  All zeros on a healthy,
+    fault-free cluster.  What the wire did is not copied here: read the
+    injector's {!Net.Faults.counters} ({!Cluster.faults}) and the
+    network's ingress ledger ([Runtime.Transport.ingress]). *)
 
 type degradation = {
   requests : int;  (** logical block requests: sync + async + shed *)
@@ -150,15 +152,6 @@ type degradation = {
   hedge_wins : int;  (** hedged reads whose hedge answered first *)
   breaker_trips : int;  (** closed-to-open circuit-breaker transitions *)
   messages_shed : int;  (** protocol messages dropped at full site queues *)
-  faults_injected : int;  (** total network fault injections, 0 if none *)
-  frames_rejected : int;  (** frames the hardened ingress refused to decode *)
-  frames_quarantined : int;  (** frames discarded undecoded under quarantine *)
-  frames_retransmitted : int;  (** link-layer redeliveries of rejected frames *)
-  quarantine_trips : int;  (** links that entered poison-frame quarantine *)
-  corrupted_deliveries : int;  (** deliveries the injector actually damaged *)
-  corrupt_rejected : int;  (** ... of which the decoder caught *)
-  corrupt_quarantined : int;  (** ... of which quarantine discarded undecoded *)
-  corrupt_survived : int;  (** ... of which still decoded (identity splice) *)
   last_errors : (float * string) list;  (** newest first *)
 }
 
@@ -167,11 +160,7 @@ val degradation : t -> degradation
 val degradation_conserved : degradation -> bool
 (** Counter conservation: with no operation in flight every operation
     terminated exactly one way —
-    [requests = succeeded + timeouts + gave_up + rejected + shed]. *)
-
-val wire_conserved : degradation -> bool
-(** The ingress conservation identity: every corruption the injector
-    counted was classified exactly one way —
-    [corrupted_deliveries = corrupt_rejected + corrupt_quarantined +
-    corrupt_survived].  (Frame rejects themselves surface to the client
-    as retries/timeouts, already inside {!degradation_conserved}.) *)
+    [requests = succeeded + timeouts + gave_up + rejected + shed].
+    Frame rejects surface to the client as retries and timeouts, so they
+    are inside this identity; the wire's own identity is
+    [Runtime.Transport.corruption_conserved]. *)

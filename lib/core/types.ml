@@ -7,8 +7,6 @@ let site_state_to_string = function
   | Comatose -> "comatose"
   | Available -> "available"
 
-let pp_site_state ppf s = Format.pp_print_string ppf (site_state_to_string s)
-
 type scheme = Voting | Available_copy | Naive_available_copy | Dynamic_voting
 
 let scheme_to_string = function
@@ -18,8 +16,6 @@ let scheme_to_string = function
   | Dynamic_voting -> "dynamic-voting"
 
 let all_schemes = [ Voting; Available_copy; Naive_available_copy; Dynamic_voting ]
-
-let pp_scheme ppf s = Format.pp_print_string ppf (scheme_to_string s)
 
 type failure_reason = No_quorum | Site_not_available | Timed_out | Current_copy_unreachable | Overloaded
 

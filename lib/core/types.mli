@@ -10,7 +10,6 @@ type site_state =
   | Available  (** operational and known to hold current data *)
 
 val site_state_to_string : site_state -> string
-val pp_site_state : Format.formatter -> site_state -> unit
 
 (** Consistency-control scheme selector.  [Dynamic_voting] is the
     extension of the reference [10] line: quorums are majorities of the
@@ -20,7 +19,6 @@ type scheme = Voting | Available_copy | Naive_available_copy | Dynamic_voting
 
 val scheme_to_string : scheme -> string
 val all_schemes : scheme list
-val pp_scheme : Format.formatter -> scheme -> unit
 
 (** Why an operation could not be served. *)
 type failure_reason =

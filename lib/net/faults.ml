@@ -199,7 +199,10 @@ let plan t ~from ~dst =
    the byte string when it fires (a truncate removes >= 1 byte, garbage
    adds >= 1 byte, a flip toggles one bit), except a splice of two
    identical frames, which can reproduce the original and then counts as
-   an (attempted) corruption the decoder legitimately survives. *)
+   an (attempted) corruption the decoder legitimately survives.  A splice
+   can also reproduce the link's previous frame whole (cut where the two
+   tails agree): that decodes too, and replays the old message in place
+   of this one. *)
 let corrupt t ~from ~dst bytes =
   let p = link_profile t ~from ~dst in
   let c = p.corruption in
@@ -267,50 +270,9 @@ let corrupt t ~from ~dst bytes =
     (!buf, !mutated)
   end
 
-let drops t = t.counters.drops
-let duplicates t = t.counters.duplicates
-let reorders t = t.counters.reorders
-let delayed t = t.counters.delayed
-let jittered t = t.counters.jittered
-let bit_flips t = t.counters.bit_flips
-let truncates t = t.counters.truncates
-let garbage_prefixed t = t.counters.garbage_prefixed
-let garbage_suffixed t = t.counters.garbage_suffixed
-let splices t = t.counters.splices
-let corrupted_deliveries t = t.counters.corrupted
+let counters t = t.counters
 
 let total_injected t =
-  drops t + duplicates t + reorders t + delayed t + jittered t + bit_flips t + truncates t
-  + garbage_prefixed t + garbage_suffixed t + splices t
-
-let reset_counters t =
   let c = t.counters in
-  c.drops <- 0;
-  c.duplicates <- 0;
-  c.reorders <- 0;
-  c.delayed <- 0;
-  c.jittered <- 0;
-  c.bit_flips <- 0;
-  c.truncates <- 0;
-  c.garbage_prefixed <- 0;
-  c.garbage_suffixed <- 0;
-  c.splices <- 0;
-  c.corrupted <- 0
-
-let pp_profile ppf p =
-  Format.fprintf ppf "faults(drop=%g, dup=%g, reorder=%g, jitter=%a, delay=%g" p.drop p.duplicate
-    p.reorder Util.Dist.pp p.jitter p.extra_delay;
-  if not (corruption_is_trivial p.corruption) then
-    Format.fprintf ppf ", corrupt(flip=%g, trunc=%g, pre=%g, suf=%g, splice=%g)"
-      p.corruption.bit_flip p.corruption.truncate p.corruption.garbage_prefix
-      p.corruption.garbage_suffix p.corruption.splice;
-  Format.fprintf ppf ")"
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>%a@,\
-     injected: %d drops, %d duplicates, %d reorders, %d delayed, %d jittered@,\
-     corrupted: %d deliveries (%d flips, %d truncates, %d gar-pre, %d gar-suf, %d splices)@]"
-    pp_profile t.default (drops t) (duplicates t) (reorders t) (delayed t) (jittered t)
-    (corrupted_deliveries t) (bit_flips t) (truncates t) (garbage_prefixed t)
-    (garbage_suffixed t) (splices t)
+  c.drops + c.duplicates + c.reorders + c.delayed + c.jittered + c.bit_flips + c.truncates
+  + c.garbage_prefixed + c.garbage_suffixed + c.splices

@@ -35,7 +35,10 @@ type corruption = {
   garbage_suffix : float;  (** append 1–8 random bytes *)
   splice : float;
       (** run the head of the link's previous frame into the tail of this
-          one (two sends damaged into one byte string) *)
+          one (two sends damaged into one byte string).  When the cut
+          falls where both tails agree the result is the previous frame
+          itself, which decodes: the ingress counts it as survived and
+          delivers the old message in place of this one. *)
 }
 
 val no_corruption : corruption
@@ -135,35 +138,32 @@ val corrupt : t -> from:int -> dst:int -> Bytes.t -> Bytes.t * bool
     kind unconditionally (stream stability, as in {!plan}) and applies
     the kinds that fire in a fixed order: splice, truncate, garbage
     prefix, garbage suffix, bit flip.  Updates the injection counters,
-    including {!corrupted_deliveries} when any kind fired. *)
+    including [corrupted] when any kind fired. *)
 
 (** {1 Injection counters} *)
 
-val drops : t -> int
-val duplicates : t -> int
-val reorders : t -> int
+type counters = private {
+  mutable drops : int;
+  mutable duplicates : int;
+  mutable reorders : int;
+  mutable delayed : int;  (** deliveries that received the deterministic [extra_delay] *)
+  mutable jittered : int;  (** delivery copies that received a random [jitter] draw *)
+  mutable bit_flips : int;
+  mutable truncates : int;
+  mutable garbage_prefixed : int;
+  mutable garbage_suffixed : int;
+  mutable splices : int;
+  mutable corrupted : int;
+      (** deliveries whose frame left {!corrupt} different from how it
+          went in (at most one per delivery, however many kinds fired);
+          {!Network.Make.corruption_conserved} accounts each one as
+          rejected, quarantined or survived *)
+}
+(** Per-category injection counts, updated by {!plan} and {!corrupt}. *)
 
-val delayed : t -> int
-(** Deliveries that received the deterministic [extra_delay]. *)
-
-val jittered : t -> int
-(** Delivery copies that received a random [jitter] draw. *)
-
-val bit_flips : t -> int
-val truncates : t -> int
-val garbage_prefixed : t -> int
-val garbage_suffixed : t -> int
-val splices : t -> int
-
-val corrupted_deliveries : t -> int
-(** Deliveries whose frame left {!corrupt} different from how it went in
-    (at most one per delivery, however many kinds fired).  The ingress
-    conservation identity accounts each one as rejected, quarantined or
-    survived — see {!Network}. *)
+val counters : t -> counters
+(** Live counters of this injector (shared, not a snapshot). *)
 
 val total_injected : t -> int
-
-val reset_counters : t -> unit
-
-val pp_profile : Format.formatter -> profile -> unit
-val pp : Format.formatter -> t -> unit
+(** Every injection of {!plan} and {!corrupt}, summed over kinds
+    ([corrupted] is not a kind: it counts damaged deliveries). *)

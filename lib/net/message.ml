@@ -51,8 +51,6 @@ let operation_to_string = function
 
 let all_operations = [ Read; Write; Recovery; Repair ]
 
-let pp_operation ppf o = Format.pp_print_string ppf (operation_to_string o)
-
 type reject =
   | Reject_truncated
   | Reject_bad_magic
@@ -78,5 +76,3 @@ let reject_to_string = function
   | Reject_crc -> "crc"
   | Reject_bad_tag -> "bad-tag"
   | Reject_malformed -> "malformed"
-
-let pp_reject ppf r = Format.pp_print_string ppf (reject_to_string r)

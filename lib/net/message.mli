@@ -35,7 +35,6 @@ type operation = Read | Write | Recovery | Repair
 
 val operation_to_string : operation -> string
 val all_operations : operation list
-val pp_operation : Format.formatter -> operation -> unit
 
 (** Why the hardened ingress refused an arriving frame.  The taxonomy is
     codec-agnostic — {!Net} does not depend on [lib/codec] — so a payload
@@ -54,4 +53,3 @@ val all_rejects : reject list
 (** Every reject class, for iteration in reports. *)
 
 val reject_to_string : reject -> string
-val pp_reject : Format.formatter -> reject -> unit

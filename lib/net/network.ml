@@ -25,6 +25,39 @@ let redelivery_budget = 6
 let quarantine_threshold = 3
 let quarantine_cooldown = 20.0
 
+type ingress = {
+  mutable rejected_truncated : int;
+  mutable rejected_bad_magic : int;
+  mutable rejected_trailing : int;
+  mutable rejected_crc : int;
+  mutable rejected_bad_tag : int;
+  mutable rejected_malformed : int;
+  mutable quarantined : int;
+  mutable retransmitted : int;
+  mutable quarantine_trips : int;
+  mutable corrupt_rejected : int;
+  mutable corrupt_quarantined : int;
+  mutable corrupt_survived : int;
+}
+
+let rejected_of g = function
+  | Message.Reject_truncated -> g.rejected_truncated
+  | Message.Reject_bad_magic -> g.rejected_bad_magic
+  | Message.Reject_trailing -> g.rejected_trailing
+  | Message.Reject_crc -> g.rejected_crc
+  | Message.Reject_bad_tag -> g.rejected_bad_tag
+  | Message.Reject_malformed -> g.rejected_malformed
+
+let frames_rejected g = List.fold_left (fun acc r -> acc + rejected_of g r) 0 Message.all_rejects
+
+let count_reject g = function
+  | Message.Reject_truncated -> g.rejected_truncated <- g.rejected_truncated + 1
+  | Message.Reject_bad_magic -> g.rejected_bad_magic <- g.rejected_bad_magic + 1
+  | Message.Reject_trailing -> g.rejected_trailing <- g.rejected_trailing + 1
+  | Message.Reject_crc -> g.rejected_crc <- g.rejected_crc + 1
+  | Message.Reject_bad_tag -> g.rejected_bad_tag <- g.rejected_bad_tag + 1
+  | Message.Reject_malformed -> g.rejected_malformed <- g.rejected_malformed + 1
+
 module Make (P : PAYLOAD) = struct
   type t = {
     engine : Sim.Engine.t;
@@ -48,11 +81,7 @@ module Make (P : PAYLOAD) = struct
     servers : Sim.Server.t option array;
     qstates : (int * int, qstate) Hashtbl.t; (* keyed (receiver, sender) *)
     mutable reject_hook : (dst:int -> from:int -> Message.reject -> unit) option;
-    mutable corrupt_rejected : int;
-    mutable corrupt_quarantined : int;
-    mutable corrupt_survived : int;
-    mutable retransmissions : int;
-    mutable quarantine_trips : int;
+    ingress : ingress;
   }
 
   and qstate = { mutable strikes : int; mutable blocked_until : float }
@@ -75,11 +104,21 @@ module Make (P : PAYLOAD) = struct
       servers = Array.make n_sites None;
       qstates = Hashtbl.create 8;
       reject_hook = None;
-      corrupt_rejected = 0;
-      corrupt_quarantined = 0;
-      corrupt_survived = 0;
-      retransmissions = 0;
-      quarantine_trips = 0;
+      ingress =
+        {
+          rejected_truncated = 0;
+          rejected_bad_magic = 0;
+          rejected_trailing = 0;
+          rejected_crc = 0;
+          rejected_bad_tag = 0;
+          rejected_malformed = 0;
+          quarantined = 0;
+          retransmitted = 0;
+          quarantine_trips = 0;
+          corrupt_rejected = 0;
+          corrupt_quarantined = 0;
+          corrupt_survived = 0;
+        };
     }
 
   let engine t = t.engine
@@ -89,20 +128,17 @@ module Make (P : PAYLOAD) = struct
   let faults t = t.faults
   let install_faults t f = t.faults <- Some f
   let set_reject_hook t hook = t.reject_hook <- Some hook
-  let frames_retransmitted t = t.retransmissions
-  let quarantine_trips t = t.quarantine_trips
-  let corrupt_rejected t = t.corrupt_rejected
-  let corrupt_quarantined t = t.corrupt_quarantined
-  let corrupt_survived t = t.corrupt_survived
+  let ingress t = t.ingress
 
   let corruption_conserved t =
     (* The corruption draw and its classification happen back-to-back
        inside one ingress step, so the identity holds at every instant,
-       not only after a drain. *)
-    let corrupted =
-      match t.faults with Some f -> Faults.corrupted_deliveries f | None -> 0
-    in
-    corrupted = t.corrupt_rejected + t.corrupt_quarantined + t.corrupt_survived
+       not only after a drain.  The injector counts [corrupted] itself:
+       were it derived from the ingress, the identity would check
+       nothing. *)
+    let corrupted = match t.faults with Some f -> (Faults.counters f).corrupted | None -> 0 in
+    let g = t.ingress in
+    corrupted = g.corrupt_rejected + g.corrupt_quarantined + g.corrupt_survived
 
   let check_site t id name =
     if id < 0 || id >= t.n_sites then invalid_arg (Printf.sprintf "Network.%s: bad site %d" name id)
@@ -254,7 +290,7 @@ module Make (P : PAYLOAD) = struct
     if q.strikes >= quarantine_threshold then begin
       q.strikes <- 0;
       q.blocked_until <- now +. quarantine_cooldown;
-      t.quarantine_trips <- t.quarantine_trips + 1
+      t.ingress.quarantine_trips <- t.ingress.quarantine_trips + 1
     end
 
   (* Encoded delivery.  The frame crosses the wire as bytes; at ingress the
@@ -275,14 +311,15 @@ module Make (P : PAYLOAD) = struct
         | None -> (frame, false)
       in
       let now = Sim.Engine.now t.engine in
+      let g = t.ingress in
       if quarantined t ~dst ~from ~now then begin
-        Traffic.record_quarantined t.traffic;
-        if mutated then t.corrupt_quarantined <- t.corrupt_quarantined + 1
+        g.quarantined <- g.quarantined + 1;
+        if mutated then g.corrupt_quarantined <- g.corrupt_quarantined + 1
       end
       else
         match P.decode_frame bytes with
         | Ok payload -> (
-            if mutated then t.corrupt_survived <- t.corrupt_survived + 1;
+            if mutated then g.corrupt_survived <- g.corrupt_survived + 1;
             clear_strikes t ~dst ~from;
             match t.handlers.(dst) with
             | Some handler ->
@@ -290,12 +327,12 @@ module Make (P : PAYLOAD) = struct
                 handler ~from payload
             | None -> ())
         | Error reject ->
-            Traffic.record_rejected t.traffic reject;
-            if mutated then t.corrupt_rejected <- t.corrupt_rejected + 1;
+            count_reject g reject;
+            if mutated then g.corrupt_rejected <- g.corrupt_rejected + 1;
             strike t ~dst ~from ~now;
             (match t.reject_hook with Some h -> h ~dst ~from reject | None -> ());
             if budget > 0 then begin
-              t.retransmissions <- t.retransmissions + 1;
+              g.retransmitted <- g.retransmitted + 1;
               schedule_encoded t ~from ~dst ~cat ~frame ~extra:0.0 ~budget:(budget - 1)
             end
     in

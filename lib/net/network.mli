@@ -57,6 +57,39 @@ val quarantine_threshold : int
 val quarantine_cooldown : float
 (** Length of a quarantine window, in simulated seconds (20.0). *)
 
+(** {1 Ingress ledger}
+
+    Every receive-side count of encoded delivery, kept at the one place
+    frames are received.  All zero on in-heap runs: until the injector
+    corrupts, nothing is decoded.  {!Traffic} counts sends only. *)
+
+type ingress = private {
+  mutable rejected_truncated : int;
+  mutable rejected_bad_magic : int;
+  mutable rejected_trailing : int;
+  mutable rejected_crc : int;
+  mutable rejected_bad_tag : int;
+  mutable rejected_malformed : int;
+      (** frames the decoder refused, one count per {!Message.reject} class *)
+  mutable quarantined : int;
+      (** frames discarded {e undecoded} under poison-frame quarantine; a
+          quarantined frame has no reject class *)
+  mutable retransmitted : int;  (** link-layer redeliveries of rejected frames *)
+  mutable quarantine_trips : int;  (** times some (receiver, sender) link entered quarantine *)
+  mutable corrupt_rejected : int;  (** damaged deliveries the decoder caught *)
+  mutable corrupt_quarantined : int;  (** damaged deliveries quarantine discarded undecoded *)
+  mutable corrupt_survived : int;
+      (** damaged deliveries the decoder nevertheless accepted: a splice
+          that reproduced a valid frame, so the payload is one some site
+          really sent, never garbage — but it can be the link's
+          {e previous} frame, delivered in place of the one sent *)
+}
+
+val rejected_of : ingress -> Message.reject -> int
+
+val frames_rejected : ingress -> int
+(** Sum over every reject class; quarantined frames are not included. *)
+
 module Make (P : PAYLOAD) : sig
   type t
 
@@ -78,7 +111,8 @@ module Make (P : PAYLOAD) : sig
   val traffic : t -> Traffic.t
 
   val faults : t -> Faults.t option
-  (** The installed fault injector, if any (for counter reporting). *)
+  (** The installed fault injector, if any.  Its {!Faults.counters} and
+      this network's {!ingress} are the whole wire ledger. *)
 
   val install_faults : t -> Faults.t -> unit
   (** Install (or replace) the fault injector; affects deliveries scheduled
@@ -90,7 +124,7 @@ module Make (P : PAYLOAD) : sig
       {!PAYLOAD.encode} frame and the receiver re-decodes it through the
       hardened ingress: injector byte damage, then quarantine, then
       {!PAYLOAD.decode_frame} — a rejected frame is counted per class in
-      {!Traffic}, reported to the reject hook, redelivered while the
+      the {!ingress} ledger, reported to the reject hook, redelivered while the
       {!redelivery_budget} lasts, and otherwise lost (the sender's round
       recovers by timeout).  Otherwise — no injector, or one that cannot
       corrupt — payloads travel in-heap: no encode, no decode.  The two
@@ -102,30 +136,17 @@ module Make (P : PAYLOAD) : sig
       the runtime feeds these into the receiver's per-peer circuit breaker
       so a persistently corrupting link trips open like a dead peer. *)
 
-  (** {2 Ingress counters (encoded delivery; zero on in-heap runs)} *)
-
-  val frames_retransmitted : t -> int
-  (** Link-layer redeliveries triggered by rejected frames. *)
-
-  val quarantine_trips : t -> int
-  (** Times some (receiver, sender) link entered quarantine. *)
-
-  val corrupt_rejected : t -> int
-  (** Corrupted deliveries the decoder caught. *)
-
-  val corrupt_quarantined : t -> int
-  (** Corrupted deliveries discarded undecoded by quarantine. *)
-
-  val corrupt_survived : t -> int
-  (** Corrupted deliveries the decoder nevertheless accepted (a splice
-      that reproduced a valid frame); the decoded payload is a valid
-      frame some site really sent, never garbage. *)
+  val ingress : t -> ingress
+  (** This network's receive-side ledger (live, not a snapshot). *)
 
   val corruption_conserved : t -> bool
-  (** The ingress conservation identity: every corruption the injector
-      counted is rejected, quarantined or survived — nothing silently
-      uncounted.  Holds at every instant, not only after a drain, because
-      damage and classification happen in one ingress step. *)
+  (** The ingress conservation identity, stated here and nowhere else:
+      every delivery the injector counted as [corrupted] was rejected,
+      quarantined or survived —
+      [corrupted = corrupt_rejected + corrupt_quarantined + corrupt_survived].
+      Holds at every instant, not only after a drain, because damage and
+      classification happen in one ingress step.  Trivially true with no
+      injector. *)
 
   val install_service : t -> Service_model.t -> rng:Util.Prng.t -> unit
   (** Put a bounded single-server queue ({!Sim.Server}) in front of every

@@ -4,7 +4,8 @@
     delivered: under unique addressing a writer sends to all [n-1] remote
     sites whether or not they are up, which is exactly how Section 5 counts
     (e.g. an available-copy write costs [n-1] sends plus the operational
-    sites' replies). *)
+    sites' replies).  What arrives — rejected and quarantined frames — is
+    the receiver's business: see {!Network.ingress}. *)
 
 type t
 
@@ -20,29 +21,10 @@ val record : t -> ?bytes:int -> Message.operation -> Message.category -> int -> 
     notes a size-based comparison is "similar, though slightly less
     pronounced"; tracking both lets the harness reproduce that remark. *)
 
-val record_rejected : t -> Message.reject -> unit
-(** Count one arriving frame the hardened ingress refused to deliver,
-    by reject class.  Recorded at {e receive} time, unlike sends. *)
-
-val record_quarantined : t -> unit
-(** Count one frame discarded {e undecoded} because its (receiver,
-    sender) link was under poison-frame quarantine. *)
-
-val rejected_of : t -> Message.reject -> int
-val frames_rejected : t -> int
-(** Sum over all reject classes.  Quarantined frames are not included:
-    a quarantined frame was never decoded, so it has no reject class. *)
-
-val frames_quarantined : t -> int
-
-val rejected_snapshot : t -> (Message.reject * int) list
-(** Non-zero reject classes, for reports. *)
-
 val accumulate : into:t -> t -> unit
-(** [accumulate ~into src] adds every cell of [src] (counts, bytes,
-    rejected frames and quarantine) into [into].  Merging per-shard
-    tables in shard-id order yields the same totals as a single
-    unsharded run. *)
+(** [accumulate ~into src] adds every cell of [src] (counts and bytes)
+    into [into].  Merging per-shard tables in shard-id order yields the
+    same totals as a single unsharded run. *)
 
 val total : t -> int
 (** All transmissions since creation/reset. *)

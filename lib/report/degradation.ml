@@ -10,35 +10,10 @@ type site_load = {
 
 type summary = {
   label : string;
-  requests : int;
-  site_attempts : int;
-  failovers : int;
-  retries : int;
-  succeeded : int;
-  recovered : int;
-  timeouts : int;
-  gave_up : int;
-  rejected : int;
-  shed : int;
-  hedged : int;
-  hedge_wins : int;
-  breaker_trips : int;
-  messages_shed : int;
-  drops : int;
-  duplicates : int;
-  reorders : int;
-  delayed : int;
-  jittered : int;
-  corrupted : int;
-  frames_rejected : int;
-  rejects : (Net.Message.reject * int) list;
-  frames_quarantined : int;
-  frames_retransmitted : int;
-  quarantine_trips : int;
-  corrupt_survived : int;
-  wire_conserved : bool;
+  device : Blockrep.Reliable_device.degradation;
+  faults : Net.Faults.counters option;
+  ingress : Net.Network.ingress;
   sites : site_load list;
-  last_errors : (float * string) list;
 }
 
 let site_loads cluster =
@@ -63,53 +38,13 @@ let site_loads cluster =
     (List.init n Fun.id)
 
 let collect ?(label = "device") device =
-  let d = Blockrep.Reliable_device.degradation device in
   let cluster = Blockrep.Reliable_device.cluster device in
-  let drops, duplicates, reorders, delayed, jittered =
-    match Blockrep.Cluster.faults cluster with
-    | None -> (0, 0, 0, 0, 0)
-    | Some f ->
-        ( Net.Faults.drops f,
-          Net.Faults.duplicates f,
-          Net.Faults.reorders f,
-          Net.Faults.delayed f,
-          Net.Faults.jittered f )
-  in
   {
     label;
-    requests = d.Blockrep.Reliable_device.requests;
-    site_attempts = d.site_attempts;
-    failovers = d.failovers;
-    retries = d.retries;
-    succeeded = d.succeeded;
-    recovered = d.recovered;
-    timeouts = d.timeouts;
-    gave_up = d.gave_up;
-    rejected = d.rejected;
-    shed = d.shed;
-    hedged = d.hedged;
-    hedge_wins = d.hedge_wins;
-    breaker_trips = d.breaker_trips;
-    messages_shed = d.messages_shed;
-    drops;
-    duplicates;
-    reorders;
-    delayed;
-    jittered;
-    corrupted = d.corrupted_deliveries;
-    frames_rejected = d.frames_rejected;
-    rejects =
-      List.map
-        (fun r ->
-          (r, Net.Traffic.rejected_of (Blockrep.Cluster.traffic cluster) r))
-        Net.Message.all_rejects;
-    frames_quarantined = d.frames_quarantined;
-    frames_retransmitted = d.frames_retransmitted;
-    quarantine_trips = d.quarantine_trips;
-    corrupt_survived = d.corrupt_survived;
-    wire_conserved = Blockrep.Reliable_device.wire_conserved d;
+    device = Blockrep.Reliable_device.degradation device;
+    faults = Option.map Net.Faults.counters (Blockrep.Cluster.faults cluster);
+    ingress = Blockrep.Runtime.Transport.ingress (Blockrep.Cluster.network cluster);
     sites = site_loads cluster;
-    last_errors = d.last_errors;
   }
 
 let header =
@@ -120,12 +55,18 @@ let header =
     "frej" "fquar" "retx"
 
 let print_row ppf s =
+  let d = s.device and g = s.ingress in
+  let drops, dups, reorders, delayed, jittered, corrupted =
+    match s.faults with
+    | None -> (0, 0, 0, 0, 0, 0)
+    | Some c -> Net.Faults.(c.drops, c.duplicates, c.reorders, c.delayed, c.jittered, c.corrupted)
+  in
   Format.fprintf ppf
     "%-18s %8d %8d %8d %8d %8d %8d %8d %6d %6d %5d %6d %6d %5d %7d %6d %5d %5d %5d %6d %7d %6d %6d %5d"
-    s.label s.requests s.site_attempts s.failovers s.retries s.succeeded s.recovered s.timeouts
-    s.gave_up s.rejected s.shed s.hedged s.hedge_wins s.breaker_trips s.messages_shed s.drops
-    s.duplicates s.reorders s.delayed s.jittered s.corrupted s.frames_rejected
-    s.frames_quarantined s.frames_retransmitted
+    s.label d.requests d.site_attempts d.failovers d.retries d.succeeded d.recovered d.timeouts
+    d.gave_up d.rejected d.shed d.hedged d.hedge_wins d.breaker_trips d.messages_shed drops dups
+    reorders delayed jittered corrupted (Net.Network.frames_rejected g) g.quarantined
+    g.retransmitted
 
 (* nan quantiles/means (no samples yet) print as a dash, not "nan". *)
 let pf v = if Float.is_nan v then "-" else Printf.sprintf "%.3f" v
@@ -149,75 +90,6 @@ let print ppf ?(errors = false) rows =
       if errors then
         List.iter
           (fun (at, msg) -> Format.fprintf ppf "    t=%-10.3f %s@," at msg)
-          (List.rev s.last_errors))
+          (List.rev s.device.last_errors))
     rows;
   Format.fprintf ppf "@]"
-
-let csv_rows rows =
-  "label,requests,site_attempts,failovers,retries,succeeded,recovered,timeouts,gave_up,rejected,\
-   shed,hedged,hedge_wins,breaker_trips,messages_shed,drops,duplicates,reorders,delayed,jittered,\
-   corrupted,frames_rejected,reject_truncated,reject_bad_magic,reject_trailing,reject_crc,\
-   reject_bad_tag,reject_malformed,frames_quarantined,frames_retransmitted,quarantine_trips,\
-   corrupt_survived,wire_conserved"
-  :: List.map
-       (fun s ->
-         let reject r =
-           string_of_int (try List.assoc r s.rejects with Not_found -> 0)
-         in
-         String.concat ","
-           [
-             s.label;
-             string_of_int s.requests;
-             string_of_int s.site_attempts;
-             string_of_int s.failovers;
-             string_of_int s.retries;
-             string_of_int s.succeeded;
-             string_of_int s.recovered;
-             string_of_int s.timeouts;
-             string_of_int s.gave_up;
-             string_of_int s.rejected;
-             string_of_int s.shed;
-             string_of_int s.hedged;
-             string_of_int s.hedge_wins;
-             string_of_int s.breaker_trips;
-             string_of_int s.messages_shed;
-             string_of_int s.drops;
-             string_of_int s.duplicates;
-             string_of_int s.reorders;
-             string_of_int s.delayed;
-             string_of_int s.jittered;
-             string_of_int s.corrupted;
-             string_of_int s.frames_rejected;
-             reject Net.Message.Reject_truncated;
-             reject Net.Message.Reject_bad_magic;
-             reject Net.Message.Reject_trailing;
-             reject Net.Message.Reject_crc;
-             reject Net.Message.Reject_bad_tag;
-             reject Net.Message.Reject_malformed;
-             string_of_int s.frames_quarantined;
-             string_of_int s.frames_retransmitted;
-             string_of_int s.quarantine_trips;
-             string_of_int s.corrupt_survived;
-             (if s.wire_conserved then "1" else "0");
-           ])
-       rows
-
-let site_csv_rows rows =
-  "label,site,served,queue_shed,depth_p50,depth_p99,sojourn_mean,sojourn_max"
-  :: List.concat_map
-       (fun s ->
-         List.map
-           (fun l ->
-             String.concat ","
-               [
-                 s.label;
-                 string_of_int l.site;
-                 string_of_int l.served;
-                 string_of_int l.queue_shed;
-                 Printf.sprintf "%.6f" l.depth_p50;
-                 Printf.sprintf "%.6f" l.depth_p99;
-                 Printf.sprintf "%.6f" l.sojourn_mean;
-                 Printf.sprintf "%.6f" l.sojourn_max;
-               ])
-           s.sites)
-       rows

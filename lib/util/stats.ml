@@ -23,9 +23,6 @@ let stddev s = sqrt (variance s)
 let min_value s = s.min_v
 let max_value s = s.max_v
 
-let confidence_interval_95 s =
-  if s.n < 2 then nan else 1.96 *. stddev s /. sqrt (float_of_int s.n)
-
 let merge a b =
   if a.n = 0 then { b with n = b.n }
   else if b.n = 0 then { a with n = a.n }

@@ -24,10 +24,6 @@ val stddev : t -> float
 val min_value : t -> float
 val max_value : t -> float
 
-val confidence_interval_95 : t -> float
-(** Half-width of the normal-approximation 95% confidence interval for the
-    mean ([1.96 * stddev / sqrt n]); [nan] with fewer than two samples. *)
-
 val merge : t -> t -> t
 (** [merge a b] summarises the union of both sample sets (Chan et al.
     parallel combination). *)

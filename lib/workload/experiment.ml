@@ -259,7 +259,10 @@ let measure_degradation ~scheme ~n_sites ~fault_profile ?(reads_per_write = 2.0)
     recovered = d.Blockrep.Reliable_device.recovered;
     timeouts = d.Blockrep.Reliable_device.timeouts;
     gave_up = d.Blockrep.Reliable_device.gave_up;
-    faults_injected = d.Blockrep.Reliable_device.faults_injected;
+    faults_injected =
+      (match Blockrep.Cluster.faults (Blockrep.Reliable_device.cluster device) with
+      | Some f -> Net.Faults.total_injected f
+      | None -> 0);
   }
 
 type brownout_sample = {

@@ -321,11 +321,14 @@ let test_wire_run_injects_and_conserves () =
   let outcome = Chaos.run_against env ~cluster ~schedule:(Chaos.generate_schedule env) in
   Alcotest.(check bool) "clean" true (Chaos.passed outcome);
   Alcotest.(check bool) "corruption actually injected" true
-    (Blockrep.Cluster.corrupted_deliveries cluster > 0);
-  Alcotest.(check bool) "frames rejected" true (Blockrep.Cluster.frames_rejected cluster > 0);
-  Alcotest.(check bool) "frames retransmitted" true
-    (Blockrep.Cluster.frames_retransmitted cluster > 0);
-  Alcotest.(check bool) "conserved" true (Blockrep.Cluster.corruption_conserved cluster)
+    (match Blockrep.Cluster.faults cluster with
+    | Some f -> (Net.Faults.counters f).corrupted > 0
+    | None -> false);
+  let net = Blockrep.Cluster.network cluster in
+  let g = Blockrep.Runtime.Transport.ingress net in
+  Alcotest.(check bool) "frames rejected" true (Net.Network.frames_rejected g > 0);
+  Alcotest.(check bool) "frames retransmitted" true (g.retransmitted > 0);
+  Alcotest.(check bool) "conserved" true (Blockrep.Runtime.Transport.corruption_conserved net)
 
 let test_wire_corrupt_schedule_roundtrip () =
   let env = with_family Chaos.Corrupt_links (Chaos.wire (Chaos.default_env Types.Voting)) in

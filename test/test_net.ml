@@ -84,21 +84,54 @@ let test_traffic_snapshot () =
   Alcotest.(check int) "one non-zero cell" 1 (List.length (Net.Traffic.snapshot t))
 
 let test_traffic_rejects () =
-  let t = Net.Traffic.create () in
-  Net.Traffic.record_rejected t Net.Message.Reject_crc;
-  Net.Traffic.record_rejected t Net.Message.Reject_crc;
-  Net.Traffic.record_rejected t Net.Message.Reject_bad_tag;
-  Net.Traffic.record_quarantined t;
-  Alcotest.(check int) "per class" 2 (Net.Traffic.rejected_of t Net.Message.Reject_crc);
-  Alcotest.(check int) "sum over classes" 3 (Net.Traffic.frames_rejected t);
+  (* Traffic counts sends only; rejects are filed per class in the
+     network's ingress ledger.  Each of four links from site 0 damages
+     every frame in one way, so each burns three rejects and then
+     quarantines the fourth attempt. *)
+  let engine, net = make ~n_sites:5 () in
+  let f = Net.Faults.of_seed ~seed:7 Net.Faults.pristine in
+  let damage = Net.Faults.no_corruption in
+  List.iter
+    (fun (dst, corruption) ->
+      Net.Faults.set_link f ~from:0 ~dst (Net.Faults.make_exn ~corruption ()))
+    [
+      (1, { damage with truncate = 1.0 });
+      (2, { damage with garbage_prefix = 1.0 });
+      (3, { damage with garbage_suffix = 1.0 });
+      (4, { damage with bit_flip = 1.0 });
+    ];
+  N.install_faults net f;
+  let hooked = ref [] in
+  N.set_reject_hook net (fun ~dst ~from:_ reject -> hooked := (dst, reject) :: !hooked);
+  for dst = 1 to 4 do
+    N.send net ~op:Net.Message.Read ~from:0 ~dst (Payload.Ping dst)
+  done;
+  Sim.Engine.run engine;
+  Alcotest.(check int) "one charge per send" 4 (Net.Traffic.total (N.traffic net));
+  let classes_at dst =
+    List.sort_uniq compare (List.filter_map (fun (d, r) -> if d = dst then Some r else None) !hooked)
+  in
+  Alcotest.(check bool) "truncation is its own class" true
+    (classes_at 1 = [ Net.Message.Reject_truncated ]);
+  Alcotest.(check bool) "leading garbage is a bad magic" true
+    (classes_at 2 = [ Net.Message.Reject_bad_magic ]);
+  Alcotest.(check bool) "trailing garbage is its own class" true
+    (classes_at 3 = [ Net.Message.Reject_trailing ]);
+  let g = N.ingress net in
+  List.iter
+    (fun r ->
+      Alcotest.(check int)
+        ("per class " ^ Net.Message.reject_to_string r)
+        (List.length (List.filter (fun (_, r') -> r' = r) !hooked))
+        (Net.Network.rejected_of g r))
+    Net.Message.all_rejects;
+  Alcotest.(check int) "sum over classes" 12 (Net.Network.frames_rejected g);
   (* Quarantined frames were never decoded, so they carry no reject class
      and stay out of the frames_rejected sum. *)
-  Alcotest.(check int) "quarantined separate" 1 (Net.Traffic.frames_quarantined t);
-  let snap = Net.Traffic.rejected_snapshot t in
-  Alcotest.(check int) "snapshot has the non-zero classes" 2 (List.length snap);
-  Net.Traffic.reset t;
-  Alcotest.(check int) "reset clears rejects" 0 (Net.Traffic.frames_rejected t);
-  Alcotest.(check int) "reset clears quarantined" 0 (Net.Traffic.frames_quarantined t)
+  Alcotest.(check int) "quarantined separate" 4 g.quarantined;
+  Alcotest.(check int) "damaged frames rejected" 12 g.corrupt_rejected;
+  Alcotest.(check int) "damaged frames quarantined" 4 g.corrupt_quarantined;
+  Alcotest.(check bool) "conservation" true (N.corruption_conserved net)
 
 (* ------------------------------------------------------------------ *)
 (* Network                                                             *)
@@ -267,8 +300,8 @@ let test_encoded_twin_run_identical () =
       true
       (!(logs_a.(i)) = !(logs_b.(i)))
   done;
-  Alcotest.(check int) "no rejects" 0 (Net.Traffic.frames_rejected (N.traffic net_b));
-  Alcotest.(check int) "no retransmissions" 0 (N.frames_retransmitted net_b);
+  Alcotest.(check int) "no rejects" 0 (Net.Network.frames_rejected (N.ingress net_b));
+  Alcotest.(check int) "no retransmissions" 0 (N.ingress net_b).retransmitted;
   Alcotest.(check int) "nothing injected" 0 (Net.Faults.total_injected sticky)
 
 let test_encoded_ambient_corruption_recovers () =
@@ -283,9 +316,10 @@ let test_encoded_ambient_corruption_recovers () =
   let delivered = List.length !(logs.(1)) + List.length !(logs.(2)) + List.length !(logs.(0)) in
   Alcotest.(check int) "all four deliveries landed" 4 delivered;
   Alcotest.(check bool) "some frames were damaged" true
-    (match N.faults net with Some f -> Net.Faults.corrupted_deliveries f > 0 | None -> false);
+    (match N.faults net with Some f -> (Net.Faults.counters f).corrupted > 0 | None -> false);
+  let g = N.ingress net in
   Alcotest.(check bool) "rejected frames were retransmitted" true
-    (N.frames_retransmitted net >= Net.Traffic.frames_rejected (N.traffic net));
+    (g.retransmitted >= Net.Network.frames_rejected g);
   Alcotest.(check bool) "conservation" true (N.corruption_conserved net)
 
 let test_persistent_corruptor_quarantined () =
@@ -302,11 +336,12 @@ let test_persistent_corruptor_quarantined () =
   N.send net ~op:Net.Message.Read ~from:0 ~dst:1 (Payload.Ping 1);
   Sim.Engine.run engine;
   Alcotest.(check int) "nothing delivered" 0 (List.length !log);
-  Alcotest.(check int) "threshold rejects" 3 (Net.Traffic.frames_rejected (N.traffic net));
-  Alcotest.(check int) "then quarantined" 1 (Net.Traffic.frames_quarantined (N.traffic net));
-  Alcotest.(check int) "one quarantine trip" 1 (N.quarantine_trips net);
-  Alcotest.(check int) "retransmissions stopped at the trip" 3 (N.frames_retransmitted net);
-  Alcotest.(check int) "every attempt was damaged" 4 (Net.Faults.corrupted_deliveries f);
+  let g = N.ingress net in
+  Alcotest.(check int) "threshold rejects" 3 (Net.Network.frames_rejected g);
+  Alcotest.(check int) "then quarantined" 1 g.quarantined;
+  Alcotest.(check int) "one quarantine trip" 1 g.quarantine_trips;
+  Alcotest.(check int) "retransmissions stopped at the trip" 3 g.retransmitted;
+  Alcotest.(check int) "every attempt was damaged" 4 (Net.Faults.counters f).corrupted;
   Alcotest.(check bool) "conservation" true (N.corruption_conserved net);
   (* After the cooldown the link is usable again. *)
   Net.Faults.set_link f ~from:0 ~dst:1 Net.Faults.pristine;

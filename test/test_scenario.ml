@@ -152,9 +152,11 @@ let test_run_wire_corrupt_without_fault_directives () =
   in
   let outcome = Scenario.run t in
   Alcotest.(check (list string)) "expectations hold" [] outcome.Scenario.failures;
-  let c = outcome.Scenario.cluster in
-  Alcotest.(check bool) "frames rejected" true (Blockrep.Cluster.frames_rejected c > 0);
-  Alcotest.(check bool) "corruption conserved" true (Blockrep.Cluster.corruption_conserved c)
+  let net = Blockrep.Cluster.network outcome.Scenario.cluster in
+  Alcotest.(check bool) "frames rejected" true
+    (Net.Network.frames_rejected (Blockrep.Runtime.Transport.ingress net) > 0);
+  Alcotest.(check bool) "corruption conserved" true
+    (Blockrep.Runtime.Transport.corruption_conserved net)
 
 (* Tiny substring helper (no external deps). *)
 let contains haystack needle =
