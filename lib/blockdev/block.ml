@@ -35,10 +35,3 @@ let set t i c =
 let blit_into t dst off = Bytes.blit_string t 0 dst off size
 
 let equal = String.equal
-let compare = String.compare
-
-let pp ppf t =
-  let prefix = String.sub t 0 8 in
-  Format.fprintf ppf "block<";
-  String.iter (fun c -> Format.fprintf ppf "%02x" (Char.code c)) prefix;
-  Format.fprintf ppf "...>"

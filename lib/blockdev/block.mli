@@ -41,6 +41,3 @@ val blit_into : t -> bytes -> int -> unit
 (** [blit_into b dst off] copies the block into [dst] at [off]. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-(** Prints a short hex prefix, for debugging. *)

@@ -8,7 +8,7 @@
 
     {b Sealing discipline}: {!write} updates payload and version but
     leaves the index checksum stale; only {!seal} recomputes it.  The
-    owner of the durability story (the two-phase journal in
+    owner of the durability story (the intention journal in
     {!Durable_store}, the only module of [blockdev] that uses this one)
     seals at commit points — everything else, including byte-level fault
     injection, is caught by {!checksum_ok}. *)

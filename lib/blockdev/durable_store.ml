@@ -1,5 +1,3 @@
-type tear = Torn_apply | Torn_journal
-
 type counters = {
   mutable torn_writes : int;
   mutable bitrot_injected : int;
@@ -7,7 +5,6 @@ type counters = {
   mutable repaired_blocks : int;
   mutable scrub_runs : int;
   mutable scrub_replayed : int;
-  mutable scrub_discarded : int;
   mutable scrub_quarantined : int;
   mutable scrub_meta_reset : int;
   mutable disk_replacements : int;
@@ -22,7 +19,6 @@ let zero_counters () =
     repaired_blocks = 0;
     scrub_runs = 0;
     scrub_replayed = 0;
-    scrub_discarded = 0;
     scrub_quarantined = 0;
     scrub_meta_reset = 0;
     disk_replacements = 0;
@@ -36,132 +32,35 @@ let accumulate_counters acc c =
   acc.repaired_blocks <- acc.repaired_blocks + c.repaired_blocks;
   acc.scrub_runs <- acc.scrub_runs + c.scrub_runs;
   acc.scrub_replayed <- acc.scrub_replayed + c.scrub_replayed;
-  acc.scrub_discarded <- acc.scrub_discarded + c.scrub_discarded;
   acc.scrub_quarantined <- acc.scrub_quarantined + c.scrub_quarantined;
   acc.scrub_meta_reset <- acc.scrub_meta_reset + c.scrub_meta_reset;
   acc.disk_replacements <- acc.disk_replacements + c.disk_replacements;
   acc.journal_commits <- acc.journal_commits + c.journal_commits
 
-type scrub_report = {
-  replayed : int;
-  discarded : int;
-  quarantined : int;
-  meta_reset : string list;
-}
+type scrub_report = { replayed : int; quarantined : int; meta_reset : string list }
 
+(* The data and pre-image a torn apply needs, or the key of a metadata
+   write (a torn one falls back to its registered default). *)
 type intention =
-  | Data of {
-      block : Block.id;
-      version : int;
-      data : Block.t;
-      prev_version : int;
-      prev_data : Block.t;
-    }
-  | Meta of { key : string; value : int list; prev : int list option }
-
-(* The journal is real bytes: one checksummed {!Codec.Frame} holding the
-   serialized intention, followed by a single commit byte (0x00 pending,
-   0x01 committed) — the commit phase is one byte flip, like flipping a
-   sector's commit mark.  The scrub's replay/discard verdict comes from
-   actually decoding these bytes: a torn append physically truncates the
-   record so its frame CRC no longer validates, and decode failure IS
-   the discard path — no modeled flag stands in for the arithmetic. *)
-
-module B = Codec.Buf
+  | Data of { block : Block.id; version : int; data : Block.t; prev_data : Block.t }
+  | Meta of { key : string }
 
 type t = {
   bf : Block_file.t;
   meta : (string, int list) Hashtbl.t;
   meta_defaults : (string, int list) Hashtbl.t;
-  mutable journal : Bytes.t option;
-  mutable armed : tear option;
+  mutable journal : intention option;
+  mutable armed : bool;
   mutable torn_meta : string option;
   mutable last_scrub : scrub_report option;
   counters : counters;
 }
 
-let put_int_list w l =
-  B.varint w (List.length l);
-  List.iter (fun x -> B.varint w x) l
-
-let encode_intention intent =
-  let payload w =
-    match intent with
-    | Data { block; version; data; prev_version; prev_data } ->
-        B.u8 w 1;
-        B.varint w block;
-        B.varint w version;
-        B.raw_string w (Block.to_string data);
-        B.varint w prev_version;
-        B.raw_string w (Block.to_string prev_data)
-    | Meta { key; value; prev } -> (
-        B.u8 w 2;
-        B.string w key;
-        put_int_list w value;
-        match prev with
-        | None -> B.u8 w 0
-        | Some p ->
-            B.u8 w 1;
-            put_int_list w p)
-  in
-  let frame = Codec.Frame.encode ~payload in
-  let j = Bytes.create (Bytes.length frame + 1) in
-  Bytes.blit frame 0 j 0 (Bytes.length frame);
-  Bytes.set j (Bytes.length frame) '\000';
-  j
-
-let commit_journal t j =
-  Bytes.set j (Bytes.length j - 1) '\001';
+(* The journal's single slot holds the last intention; recording it is its
+   commit, the one sync-write point a real journal pays for. *)
+let commit_journal t intent =
+  t.journal <- Some intent;
   t.counters.journal_commits <- t.counters.journal_commits + 1
-
-(* Physically tear a journal record: keep only a prefix of the frame, as
-   a crash mid-append would.  The truncated record cannot pass frame
-   validation, so [decode_journal] — and therefore the scrub — sees an
-   unreadable intention. *)
-let tear_journal_bytes j = Bytes.sub j 0 (Bytes.length j / 2)
-
-let get_int_list r =
-  let n = B.r_varint r in
-  if n < 0 || n > B.remaining r then raise (B.Bad "int-list length exceeds record");
-  let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (B.r_varint r :: acc) in
-  go n []
-
-(* [None] when the record is unreadable (torn append): bad frame CRC,
-   truncation, or payload garbage.  Otherwise the intention and whether
-   the commit byte was set. *)
-let decode_journal j =
-  let n = Bytes.length j in
-  if n < 1 then None
-  else
-    match Codec.Frame.decode_sub j ~pos:0 ~len:(n - 1) with
-    | Error _ -> None
-    | Ok r -> (
-        match
-          (match B.r_u8 r with
-          | 1 ->
-              let block = B.r_varint r in
-              let version = B.r_varint r in
-              let data = Block.of_string (B.r_raw_string r Block.size) in
-              let prev_version = B.r_varint r in
-              let prev_data = Block.of_string (B.r_raw_string r Block.size) in
-              Some (Data { block; version; data; prev_version; prev_data })
-          | 2 ->
-              let key = B.r_string r in
-              let value = get_int_list r in
-              let prev =
-                match B.r_u8 r with
-                | 0 -> None
-                | 1 -> Some (get_int_list r)
-                | _ -> raise (B.Bad "bad option byte")
-              in
-              Some (Meta { key; value; prev })
-          | _ -> None)
-        with
-        | Some intent when B.at_end r ->
-            Some (intent, Bytes.get j (n - 1) = '\001')
-        | Some _ | None -> None
-        | exception B.Short -> None
-        | exception B.Bad _ -> None)
 
 let create ~capacity =
   {
@@ -169,7 +68,7 @@ let create ~capacity =
     meta = Hashtbl.create 7;
     meta_defaults = Hashtbl.create 7;
     journal = None;
-    armed = None;
+    armed = false;
     torn_meta = None;
     last_scrub = None;
     counters = zero_counters ();
@@ -241,17 +140,10 @@ let write t k data ~version =
   end
   else begin
     let was_corrupt = not (checksum_ok t k) in
-    (* Two-phase intention record: append, commit, then apply in place.  A
-       crash tears at most one of these phases (see {!crash}); the scrub
-       replays a committed-but-torn apply and discards an uncommitted
-       append, so the block write and its version update are atomic as a
-       pair. *)
-    let prev_data = Block_file.read t.bf k in
-    let j =
-      encode_intention (Data { block = k; version; data; prev_version = stored; prev_data })
-    in
-    t.journal <- Some j;
-    commit_journal t j;
+    (* Commit the intention, then apply it in place.  A crash can tear only
+       the apply (see {!crash}), and the scrub replays it from the journal,
+       so the block write and its version update are atomic as a pair. *)
+    commit_journal t (Data { block = k; version; data; prev_data = Block_file.read t.bf k });
     install t k data ~version;
     if was_corrupt then t.counters.repaired_blocks <- t.counters.repaired_blocks + 1
   end
@@ -275,9 +167,7 @@ let apply_updates t updates =
     updates
 
 let set_meta t key value =
-  let j = encode_intention (Meta { key; value; prev = Hashtbl.find_opt t.meta key }) in
-  t.journal <- Some j;
-  commit_journal t j;
+  commit_journal t (Meta { key });
   Hashtbl.replace t.meta key value
 
 let get_meta t key = Hashtbl.find_opt t.meta key
@@ -303,8 +193,7 @@ let inject_bitrot t k =
   corrupt_in_place t k;
   t.counters.bitrot_injected <- t.counters.bitrot_injected + 1
 
-let arm_torn_write ?(mode = Torn_apply) t = t.armed <- Some mode
-let armed t = t.armed
+let arm_torn_write t = t.armed <- true
 
 (* A torn in-place apply, byte-accurately: the prefix of the new payload
    reached the platter, the suffix still holds pre-image bytes.  The
@@ -317,54 +206,30 @@ let tear_apply t block version prev_data =
   if checksum_ok t block then corrupt_in_place t block
 
 let crash t =
-  (match (t.armed, t.journal) with
-  | Some Torn_apply, Some j -> (
-      match decode_journal j with
-      | Some (Data { block; version; prev_data; _ }, true) ->
-          (* Journal committed, but the in-place apply was torn: stale
-             pre-image bytes under an intact version number. *)
-          tear_apply t block version prev_data;
-          t.counters.torn_writes <- t.counters.torn_writes + 1
-      | Some (Meta { key; _ }, true) ->
-          t.torn_meta <- Some key;
-          t.counters.torn_writes <- t.counters.torn_writes + 1
-      | _ -> ())
-  | Some Torn_journal, Some j -> (
-      (* The journal append itself was torn: the intention never became
-         durable, so the apply never reached the platter either.  Restore
-         the pre-image and physically truncate the record; the scrub will
-         fail to decode it and discard. *)
-      match decode_journal j with
-      | Some (Data { block; prev_version; prev_data; _ }, _) ->
-          install t block prev_data ~version:prev_version;
-          t.journal <- Some (tear_journal_bytes j);
-          t.counters.torn_writes <- t.counters.torn_writes + 1
-      | Some (Meta { key; prev; _ }, _) ->
-          (match prev with
-          | Some v -> Hashtbl.replace t.meta key v
-          | None -> Hashtbl.remove t.meta key);
-          t.journal <- Some (tear_journal_bytes j);
-          t.counters.torn_writes <- t.counters.torn_writes + 1
-      | None -> ())
-  | _ -> ());
-  t.armed <- None
+  (if t.armed then
+     match t.journal with
+     | Some (Data { block; version; prev_data; _ }) ->
+         (* The journal committed, but the in-place apply was torn: stale
+            pre-image bytes under an intact version number. *)
+         tear_apply t block version prev_data;
+         t.counters.torn_writes <- t.counters.torn_writes + 1
+     | Some (Meta { key }) ->
+         t.torn_meta <- Some key;
+         t.counters.torn_writes <- t.counters.torn_writes + 1
+     | None -> ());
+  t.armed <- false
 
 let scrub t =
   t.counters.scrub_runs <- t.counters.scrub_runs + 1;
-  let replayed = ref 0 and discarded = ref 0 in
-  (match t.journal with
-  | Some j -> (
-      match decode_journal j with
-      | Some (Data { block; version; data; _ }, true)
-        when Block_file.version t.bf block = version && not (checksum_ok t block) ->
-          (* Committed intention whose apply was torn: replay it exactly. *)
-          install t block data ~version;
-          incr replayed
-      | Some (_, false) | None ->
-          (* Uncommitted or unreadable (torn append): drop it. *)
-          incr discarded
-      | Some _ -> ())
-  | None -> ());
+  let replayed =
+    match t.journal with
+    | Some (Data { block; version; data; _ })
+      when Block_file.version t.bf block = version && not (checksum_ok t block) ->
+        (* Committed intention whose apply was torn: replay it exactly. *)
+        install t block data ~version;
+        1
+    | _ -> 0
+  in
   t.journal <- None;
   let meta_reset =
     match t.torn_meta with
@@ -381,12 +246,9 @@ let scrub t =
   for k = 0 to capacity t - 1 do
     if not (checksum_ok t k) then incr quarantined
   done;
-  t.counters.scrub_replayed <- t.counters.scrub_replayed + !replayed;
-  t.counters.scrub_discarded <- t.counters.scrub_discarded + !discarded;
+  t.counters.scrub_replayed <- t.counters.scrub_replayed + replayed;
   t.counters.scrub_quarantined <- t.counters.scrub_quarantined + !quarantined;
-  let report =
-    { replayed = !replayed; discarded = !discarded; quarantined = !quarantined; meta_reset }
-  in
+  let report = { replayed; quarantined = !quarantined; meta_reset } in
   t.last_scrub <- Some report;
   report
 
@@ -397,7 +259,7 @@ let replace_disk t =
   [@lint.allow "hashtbl-order"
     "copies bindings between tables keyed on the same distinct keys; replace is idempotent per key, so order cannot matter"]);
   t.journal <- None;
-  t.armed <- None;
+  t.armed <- false;
   t.torn_meta <- None;
   t.counters.disk_replacements <- t.counters.disk_replacements + 1
 

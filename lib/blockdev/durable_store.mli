@@ -11,13 +11,12 @@
       pair, kept in the {!Block_file} index and sealed only at this
       module's commit points, so rotten or torn bytes are detected
       instead of served;
-    - {b a two-phase intention journal} making a block write and its
-      version update crash-atomic as a pair: the intention is serialized
-      through the {!Codec} into a checksummed byte record, appended and
-      committed (one commit-byte flip) before the in-place apply, so a
-      crash tears at most one phase and the recovery {!scrub} — by
-      actually decoding the record — either replays a committed
-      intention or discards an unreadable/uncommitted one;
+    - {b an intention journal} making a block write and its version
+      update crash-atomic as a pair: one slot holding the last intention
+      (the new data and its pre-image), committed in the same step that
+      records it and before the in-place apply.  A crash can tear only
+      that apply, and the recovery {!scrub} replays the committed
+      intention;
     - {b journaled metadata} ([set_meta]) for the crash-critical protocol
       state that nominally "lives on disk" — was-available sets, dynamic
       voting groups — with registered defaults to fall back to when a torn
@@ -46,19 +45,6 @@
 
 type t
 
-(** How an armed crash tears the most recent intention (see {!crash}). *)
-type tear =
-  | Torn_apply
-      (** The journal record committed but the in-place apply was torn:
-          garbage data bytes under an intact version.  The scrub replays
-          the intention exactly — an acknowledged write survives. *)
-  | Torn_journal
-      (** The journal append itself was torn: neither the intention nor
-          the apply became durable.  The pre-image is restored and the
-          scrub discards the half-written record — the write never
-          happened, which is only crash-consistent for writes that were
-          never acknowledged. *)
-
 type counters = {
   mutable torn_writes : int;  (** armed tears that fired at a crash *)
   mutable bitrot_injected : int;
@@ -68,13 +54,13 @@ type counters = {
       (** quarantined blocks healed by verified data *)
   mutable scrub_runs : int;
   mutable scrub_replayed : int;
-  mutable scrub_discarded : int;
   mutable scrub_quarantined : int;
   mutable scrub_meta_reset : int;
   mutable disk_replacements : int;
   mutable journal_commits : int;
-      (** intention records committed — the sync-write (fsync) points a
-          real journal would pay for; see {!Sync_cost} *)
+      (** intentions committed, one per {!write} and one per {!set_meta}:
+          the sync-write (fsync) points a real journal would pay for; see
+          {!Sync_cost} *)
 }
 
 val zero_counters : unit -> counters
@@ -83,7 +69,6 @@ val accumulate_counters : counters -> counters -> unit
 
 type scrub_report = {
   replayed : int;  (** committed intentions whose torn apply was redone *)
-  discarded : int;  (** uncommitted intentions dropped *)
   quarantined : int;  (** checksum-invalid blocks awaiting peer repair *)
   meta_reset : string list;  (** metadata keys reset to their defaults *)
 }
@@ -134,7 +119,7 @@ val verified_blocks_newer_than : t -> Version_vector.t -> (Block.id * int * Bloc
 (** {1 Installs} *)
 
 val write : t -> Block.id -> Block.t -> version:int -> unit
-(** Journalled write (intention append + commit + apply).  Raises
+(** Journalled write (intention commit, then apply).  Raises
     [Invalid_argument] on a version regression over a {e verified} block
     (an equal version is allowed and re-installs); over a quarantined block
     a below-floor version is refused silently (counted) and an
@@ -167,16 +152,17 @@ val set_meta_default : t -> string -> int list -> unit
 
 (** {1 Faults} *)
 
-val arm_torn_write : ?mode:tear -> t -> unit
-(** Arm the next {!crash} to tear the most recent intention (default
-    {!Torn_apply}). *)
-
-val armed : t -> tear option
+val arm_torn_write : t -> unit
+(** Arm the next {!crash} to tear the in-place apply of the most recent
+    intention. *)
 
 val crash : t -> unit
-(** The site lost power.  If a tear is armed it is applied to the journal's
-    current slot (see {!tear}); otherwise the disk survives intact, as the
-    paper assumes.  Idempotent once disarmed. *)
+(** The site lost power.  If a tear is armed, the apply of the journal's
+    intention is torn: a block write leaves garbage data bytes under its
+    intact version, which the {!scrub} replays (an acknowledged write
+    survives), and a metadata write leaves its key for the scrub to reset
+    to its default.  Otherwise the disk survives intact, as the paper
+    assumes.  Idempotent once disarmed. *)
 
 val inject_bitrot : t -> Block.id -> unit
 (** Latent sector error: deterministically flip an actual byte of the
@@ -193,9 +179,9 @@ val replace_disk : t -> unit
 
 val scrub : t -> scrub_report
 (** Recovery-time integrity pass, run before a repaired site rejoins:
-    replay a committed-but-torn intention, discard an uncommitted one,
-    reset torn metadata keys to their defaults, and count the quarantined
-    blocks left for peer transfer to heal. *)
+    replay a committed intention whose apply was torn, reset a torn
+    metadata key to its default, and count the quarantined blocks left for
+    peer transfer to heal. *)
 
 val last_scrub : t -> scrub_report option
 

@@ -30,7 +30,7 @@ let revive t =
   ignore (Durable_store.scrub t.durable);
   t.alive <- true
 
-let arm_torn_write ?mode t = Durable_store.arm_torn_write ?mode t.durable
+let arm_torn_write t = Durable_store.arm_torn_write t.durable
 let inject_bitrot t k = if k >= 0 && k < capacity t then Durable_store.inject_bitrot t.durable k
 let replace_disk t = Durable_store.replace_disk t.durable
 let checksum_ok t k = k >= 0 && k < capacity t && Durable_store.checksum_ok t.durable k

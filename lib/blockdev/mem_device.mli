@@ -24,8 +24,9 @@ val revive : t -> unit
 
 (** {1 Media faults} *)
 
-val arm_torn_write : ?mode:Durable_store.tear -> t -> unit
-(** Arm the next {!fail} to tear the most recent write. *)
+val arm_torn_write : t -> unit
+(** Arm the next {!fail} to tear the in-place apply of the most recent
+    write; {!revive}'s scrub replays it from the journal. *)
 
 val inject_bitrot : t -> Block.id -> unit
 (** Silently rot one block; the next [read_block] of it returns [None]. *)

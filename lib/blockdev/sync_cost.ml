@@ -1,15 +1,5 @@
 type profile = Hdd | Ssd | Nvme
 
-let to_string = function Hdd -> "hdd" | Ssd -> "ssd" | Nvme -> "nvme"
-
-let of_string = function
-  | "hdd" -> Some Hdd
-  | "ssd" -> Some Ssd
-  | "nvme" -> Some Nvme
-  | _ -> None
-
-let all = [ Hdd; Ssd; Nvme ]
-
 (* Class medians from Mingardi & Vieira, "Characterizing Synchronous
    Writes in Stable Memory Devices": a small synchronous append+fsync
    costs on the order of ~10 ms on spinning disks (platter rotation +
@@ -19,5 +9,3 @@ let all = [ Hdd; Ssd; Nvme ]
    (matching the latency tables' unit), so the values below are
    milliseconds. *)
 let fsync_latency = function Hdd -> 12.0 | Ssd -> 1.8 | Nvme -> 0.08
-
-let pp ppf p = Format.pp_print_string ppf (to_string p)

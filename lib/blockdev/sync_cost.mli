@@ -1,6 +1,6 @@
 (** Sync-write (fsync) cost classes for the intention journal.
 
-    The durable layer's two-phase journal commits are the points where a
+    The durable layer's journal commits are the points where a
     real implementation would pay a synchronous write to stable memory.
     This module gives that cost a profile-selectable latency, calibrated
     from the device classes measured by Mingardi & Vieira,
@@ -19,8 +19,3 @@ type profile = Hdd | Ssd | Nvme
 
 val fsync_latency : profile -> float
 (** Simulated milliseconds per journal commit. *)
-
-val all : profile list
-val to_string : profile -> string
-val of_string : string -> profile option
-val pp : Format.formatter -> profile -> unit

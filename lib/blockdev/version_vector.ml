@@ -19,8 +19,6 @@ let bump t k =
   set t k (get t k + 1);
   t.(k)
 
-let copy = Array.copy
-
 let check_lengths a b name =
   if Array.length a <> Array.length b then invalid_arg ("Version_vector." ^ name ^ ": length mismatch")
 
@@ -41,8 +39,3 @@ let max_merge a b =
   Array.mapi (fun k va -> Int.max va b.(k)) a
 
 let equal a b = a = b
-
-let pp ppf t =
-  Format.fprintf ppf "[";
-  Array.iteri (fun i v -> if i = 0 then Format.fprintf ppf "%d" v else Format.fprintf ppf ";%d" v) t;
-  Format.fprintf ppf "]"

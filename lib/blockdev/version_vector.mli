@@ -21,8 +21,6 @@ val set : t -> int -> int -> unit
 val bump : t -> int -> int
 (** [bump t k] increments block [k]'s version and returns the new value. *)
 
-val copy : t -> t
-
 val stale_blocks : mine:t -> theirs:t -> int list
 (** [stale_blocks ~mine ~theirs] is the ascending list of block indices where
     [theirs] is strictly newer — the blocks a recovering site must fetch.
@@ -36,4 +34,3 @@ val max_merge : t -> t -> t
 (** Component-wise maximum (fresh vector). *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -40,7 +40,3 @@ let record_failure t =
       end
 
 let trips t = t.trips
-let consecutive_failures t = t.consecutive_failures
-
-let state_to_string = function Closed -> "closed" | Open -> "open" | Half_open -> "half-open"
-let pp ppf t = Format.pp_print_string ppf (state_to_string (state t))

@@ -36,7 +36,3 @@ val record_failure : t -> unit
 
 val trips : t -> int
 (** Closed-to-open transitions so far (re-opens from half-open excluded). *)
-
-val consecutive_failures : t -> int
-val state_to_string : state -> string
-val pp : Format.formatter -> t -> unit

@@ -316,16 +316,15 @@ let heal_link t ~from ~dst =
   | Some f -> Net.Faults.set_link f ~from ~dst (Net.Faults.default_profile f)
   | None -> ()
 
-let fail_site t i =
-  Runtime.fail_site t.rt i;
-  Availability_monitor.record t.monitor (system_available_rt t.protocol)
+(* A site event samples availability through the state listener installed
+   by [create]. *)
+let fail_site t i = Runtime.fail_site t.rt i
 
 let repair_site t i =
-  (match t.protocol with
+  match t.protocol with
   | Voting_p v -> Voting.on_repair v i
   | Copy_p c -> Copy_protocol.on_repair c i
-  | Dynamic_p d -> Dynamic_voting.on_repair d i);
-  Availability_monitor.record t.monitor (system_available_rt t.protocol)
+  | Dynamic_p d -> Dynamic_voting.on_repair d i
 
 let partition t groups = Runtime.Transport.partition (Runtime.net t.rt) groups
 let heal t = Runtime.Transport.heal (Runtime.net t.rt)
@@ -337,9 +336,9 @@ let heal t = Runtime.Transport.heal (Runtime.net t.rt)
 let check_site t i =
   if i < 0 || i >= n_sites t then invalid_arg "Cluster: site index out of range"
 
-let arm_torn_write ?mode t i =
+let arm_torn_write t i =
   check_site t i;
-  Durable.arm_torn_write ?mode (Runtime.site t.rt i).durable
+  Durable.arm_torn_write (Runtime.site t.rt i).durable
 
 let inject_bitrot t ~site ~block =
   check_site t site;
@@ -353,6 +352,7 @@ let replace_disk t i =
      through the ordinary recovery path. *)
   Runtime.fail_site t.rt i;
   Durable.replace_disk (Runtime.site t.rt i).durable;
+  (* The swap resets versions after the state listener sampled. *)
   Availability_monitor.record t.monitor (system_available_rt t.protocol)
 
 let checksum_ok t ~site ~block =
@@ -364,10 +364,6 @@ let effective_version t ~site ~block =
   check_site t site;
   check_block t block;
   Durable.effective_version (Runtime.site t.rt site).durable block
-
-let last_scrub t i =
-  check_site t i;
-  Durable.last_scrub (Runtime.site t.rt i).durable
 
 let storage_counters t =
   let acc = Durable.zero_counters () in
@@ -397,8 +393,6 @@ let set_rate_factor t i f =
 let flood_site t i ~count =
   check_site t i;
   Runtime.Transport.flood_site (Runtime.net t.rt) i ~count
-
-let read_latency t = t.read_lat
 
 let site_state t i = (Runtime.site t.rt i).state
 let site_versions t i = Durable.versions (Runtime.site t.rt i).durable

@@ -134,10 +134,10 @@ val heal_link : t -> from:int -> dst:int -> unit
     All default-off: a cluster that never calls these behaves bit-identically
     to one without the durable layer. *)
 
-val arm_torn_write : ?mode:Blockdev.Durable_store.tear -> t -> int -> unit
-(** Arm site [i]'s next crash ({!fail_site}) to tear its most recent
-    journaled write (default [Torn_apply]: the intention survives and the
-    recovery scrub replays it). *)
+val arm_torn_write : t -> int -> unit
+(** Arm site [i]'s next crash ({!fail_site}) to tear the in-place apply of
+    its most recent journaled write.  The intention survives and the
+    recovery scrub replays it. *)
 
 val inject_bitrot : t -> site:int -> block:Blockdev.Block.id -> unit
 (** Latent sector error: silently rot one stored copy.  Detected at the
@@ -153,9 +153,6 @@ val replace_disk : t -> int -> unit
 val checksum_ok : t -> site:int -> block:Blockdev.Block.id -> bool
 val effective_version : t -> site:int -> block:Blockdev.Block.id -> int
 (** Stored version if the checksum verifies, 0 otherwise. *)
-
-val last_scrub : t -> int -> Blockdev.Durable_store.scrub_report option
-(** Report of site [i]'s most recent recovery-time scrub. *)
 
 val storage_counters : t -> Blockdev.Durable_store.counters
 (** Fresh record summing every site's storage-fault counters. *)
@@ -193,10 +190,6 @@ val set_rate_factor : t -> int -> float -> unit
 val flood_site : t -> int -> count:int -> unit
 (** Burst-inject [count] queue jobs at site [i] (chaos: queue pressure
     without wire traffic). *)
-
-val read_latency : t -> Util.Stats.Histogram.t option
-(** The completed-read latency histogram behind the hedge delay, when
-    hedging is configured. *)
 
 val site_state : t -> int -> Types.site_state
 val site_versions : t -> int -> Blockdev.Version_vector.t

@@ -6,8 +6,6 @@ type variant = Standard | Naive
 
 type t = { rt : Runtime.t; variant : variant }
 
-let variant t = t.variant
-
 let full_set t = Int_set.of_list (List.init (Runtime.n_sites t.rt) Fun.id)
 
 (* ------------------------------------------------------------------ *)

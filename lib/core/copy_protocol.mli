@@ -32,8 +32,6 @@ val create : Runtime.t -> variant -> t
     observe peer failures and keep W equal to the live available set — the
     idealised algorithm whose availability the Figure 7 chain computes. *)
 
-val variant : t -> variant
-
 val read :
   t -> ?deadline:float -> site:int -> block:Blockdev.Block.id -> (Types.read_result -> unit) -> unit
 (** Local read at an available site; no network traffic.  Fails with

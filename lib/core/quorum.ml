@@ -47,8 +47,3 @@ let weight_of t sites = List.fold_left (fun acc s -> acc + weight t s) 0 sites
 
 let read_quorum_met t w = w >= t.read_threshold
 let write_quorum_met t w = w >= t.write_threshold
-
-let pp ppf t =
-  Format.fprintf ppf "quorum(weights=[%s], r=%d, w=%d, total=%d)"
-    (String.concat ";" (Array.to_list (Array.map string_of_int t.weights)))
-    t.read_threshold t.write_threshold t.total

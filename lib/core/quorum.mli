@@ -44,5 +44,3 @@ val read_quorum_met : t -> int -> bool
     threshold? *)
 
 val write_quorum_met : t -> int -> bool
-
-val pp : Format.formatter -> t -> unit

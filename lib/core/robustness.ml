@@ -11,9 +11,6 @@ type t = {
 
 let off = { deadlines = false; op_budget = None; hedge = None; breaker = None; admission = None }
 
-let enabled t =
-  t.deadlines || Option.is_some t.hedge || Option.is_some t.breaker || Option.is_some t.admission
-
 let validate t =
   match (t.op_budget, t.hedge, t.breaker, t.admission) with
   | Some b, _, _, _ when b <= 0.0 -> Error "op_budget must be positive"
@@ -25,16 +22,3 @@ let validate t =
   | _, _, Some b, _ when b.cooldown <= 0.0 -> Error "breaker cooldown must be positive"
   | _, _, _, Some a when a < 1 -> Error "admission limit must be at least 1"
   | _ -> Ok t
-
-let pp ppf t =
-  if not (enabled t) then Format.pp_print_string ppf "robustness(off)"
-  else
-    Format.fprintf ppf "robustness(deadlines=%B%s%s%s%s)" t.deadlines
-      (match t.op_budget with Some b -> Printf.sprintf ", budget=%g" b | None -> "")
-      (match t.hedge with
-      | Some h -> Printf.sprintf ", hedge=q%.2f/floor %g" h.quantile h.floor
-      | None -> "")
-      (match t.breaker with
-      | Some b -> Printf.sprintf ", breaker=%d/%g" b.threshold b.cooldown
-      | None -> "")
-      (match t.admission with Some a -> Printf.sprintf ", admission=%d" a | None -> "")

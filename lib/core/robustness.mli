@@ -42,6 +42,4 @@ type t = {
 val off : t
 (** Everything disabled — the bit-identical default. *)
 
-val enabled : t -> bool
 val validate : t -> (t, string) result
-val pp : Format.formatter -> t -> unit

@@ -33,7 +33,6 @@ type t = {
   engine : Sim.Engine.t;
   net : Transport.t;
   sites : site array;
-  rng : Util.Prng.t;
   mutable next_rid : int;
   rounds : (int, round) Hashtbl.t;
   mutable listeners : (int -> Types.site_state -> unit) list;
@@ -109,7 +108,6 @@ let create (config : Config.t) =
       engine;
       net;
       sites = Array.init config.n_sites make_site;
-      rng;
       next_rid = 0;
       rounds = Hashtbl.create 64;
       listeners = [];
@@ -135,7 +133,6 @@ let site t i =
   t.sites.(i)
 
 let sites t = t.sites
-let rng t = t.rng
 
 let injector t =
   match Transport.faults t.net with

@@ -51,7 +51,6 @@ val traffic : t -> Net.Traffic.t
 val n_sites : t -> int
 val site : t -> int -> site
 val sites : t -> site array
-val rng : t -> Util.Prng.t
 
 val injector : t -> Net.Faults.t
 (** The network's fault injector.  With none installed yet (the config's

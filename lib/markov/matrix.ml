@@ -91,15 +91,3 @@ let solve a b =
     x.(r) <- !acc /. get m r r
   done;
   x
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf ppf " ";
-      Format.fprintf ppf "%10.6f" (get m i j)
-    done;
-    Format.fprintf ppf "]@,"
-  done;
-  Format.fprintf ppf "@]"

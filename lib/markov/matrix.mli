@@ -31,5 +31,3 @@ val solve : t -> float array -> float array
     partial pivoting.  [a] must be square and is not modified.  Raises
     [Failure "Matrix.solve: singular matrix"] when no pivot exceeds
     [1e-12]. *)
-
-val pp : Format.formatter -> t -> unit

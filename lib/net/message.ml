@@ -39,8 +39,6 @@ let to_string = function
   | Version_vector_reply -> "version-vector-reply"
   | Was_available_update -> "was-available-update"
 
-let pp ppf c = Format.pp_print_string ppf (to_string c)
-
 type operation = Read | Write | Recovery | Repair
 
 let operation_to_string = function

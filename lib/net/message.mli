@@ -23,7 +23,6 @@ val all : category list
 (** Every category, for iteration in reports. *)
 
 val to_string : category -> string
-val pp : Format.formatter -> category -> unit
 
 (** The operation on whose behalf a transmission was sent, for the per-class
     breakdowns of Figures 11 and 12.  [Repair] is outside the paper's

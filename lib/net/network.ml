@@ -152,8 +152,6 @@ module Make (P : PAYLOAD) = struct
       t.servers.(i) <- Some (Sim.Server.create t.engine ~capacity:model.Service_model.queue_capacity)
     done
 
-  let service t = Option.map fst t.service
-
   let server t id =
     check_site t id "server";
     t.servers.(id)

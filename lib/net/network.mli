@@ -158,8 +158,6 @@ module Make (P : PAYLOAD) : sig
       unchanged.  Without this call the legacy instant-service path runs
       byte-identically. *)
 
-  val service : t -> Service_model.t option
-
   val server : t -> int -> Sim.Server.t option
   (** Site [id]'s work queue, when a service model is installed — for
       per-site depth/latency/shed reporting and chaos instrumentation. *)

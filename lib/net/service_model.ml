@@ -48,7 +48,3 @@ let validate t =
       (("base", t.base) :: ("client", t.client)
       :: List.map (fun (c, d) -> (Message.to_string c, d)) t.per_category)
   end
-
-let pp ppf t =
-  Format.fprintf ppf "service(capacity=%d, base=%a, client=%a)" t.queue_capacity Util.Dist.pp t.base
-    Util.Dist.pp t.client

@@ -34,4 +34,3 @@ val mean_client_cost : t -> float
     site is its reciprocal (open-loop benchmarks size load against it). *)
 
 val validate : t -> (t, string) result
-val pp : Format.formatter -> t -> unit

@@ -79,7 +79,3 @@ let filter_in_place h keep =
   for i = (h.size / 2) - 1 downto 0 do
     sift_down h i
   done
-
-let to_list h =
-  let rec collect i acc = if i < 0 then acc else collect (i - 1) (h.data.(i) :: acc) in
-  collect (h.size - 1) []

@@ -29,7 +29,3 @@ val filter_in_place : 'a t -> ('a -> bool) -> unit
     elements are not retained by the backing array: after the call nothing
     they reference is reachable from [h] (even when every element was
     dropped). *)
-
-val to_list : 'a t -> 'a list
-(** Elements in unspecified order (heap order, not sorted); intended for
-    tests and introspection. *)

@@ -7,7 +7,6 @@ type t = {
   mutable in_service : Engine.handle option;
   mutable in_service_drop : (unit -> unit) option;
   mutable rate_factor : float;
-  mutable submitted : int;
   mutable served : int;
   mutable shed : int;
   mutable dropped : int;
@@ -24,7 +23,6 @@ let create engine ~capacity =
     in_service = None;
     in_service_drop = None;
     rate_factor = 1.0;
-    submitted = 0;
     served = 0;
     shed = 0;
     dropped = 0;
@@ -65,7 +63,6 @@ let submit t ~cost ?drop work =
     false
   end
   else begin
-    t.submitted <- t.submitted + 1;
     Util.Stats.Histogram.add t.depth_hist (float_of_int (depth t));
     let job = { work; drop; cost; enqueued_at = Engine.now t.engine } in
     if busy t then Queue.add job t.queue else start_service t job;
@@ -75,8 +72,6 @@ let submit t ~cost ?drop work =
 let set_rate_factor t f =
   if not (Float.is_finite f && f > 0.0) then invalid_arg "Server.set_rate_factor: factor must be positive";
   t.rate_factor <- f
-
-let rate_factor t = t.rate_factor
 
 (* The destroyed jobs' drop continuations, in submission order: the job
    in service first, then the waiting room front to back. *)
@@ -103,7 +98,6 @@ let flood t ~count ~cost =
     ignore (submit t ~cost (fun () -> ()) : bool)
   done
 
-let submitted t = t.submitted
 let served t = t.served
 let shed t = t.shed
 let dropped t = t.dropped

@@ -32,8 +32,6 @@ val set_rate_factor : t -> float -> unit
     job currently in service keeps its schedule).  [1.0] is healthy;
     [10.0] is the canonical slow-site gray failure.  Must be positive. *)
 
-val rate_factor : t -> float
-
 val clear : t -> (unit -> unit) list
 (** Drop every queued job and cancel the one in service (their [work]
     never runs); the drops are counted in {!dropped}, not {!shed}.  Used
@@ -51,9 +49,6 @@ val depth : t -> int
 (** Jobs in the server right now, the one in service included. *)
 
 (** {1 Counters and distributions} *)
-
-val submitted : t -> int
-(** Jobs accepted (shed ones excluded). *)
 
 val served : t -> int
 (** Jobs whose service completed and whose [work] ran. *)

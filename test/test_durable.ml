@@ -1,5 +1,4 @@
-(* Tests for Blockdev.Durable_store: checksums, the two-phase intention
-   journal, torn-write crash faults, bitrot quarantine discipline,
+(* Tests for Blockdev.Durable_store: checksums, the intention journal, torn-write crash faults, bitrot quarantine discipline,
    journaled metadata, and disk replacement. *)
 
 module Block = Blockdev.Block
@@ -105,25 +104,10 @@ let test_torn_apply_replayed () =
   Alcotest.(check int) "torn write counted" 1 (Durable.counters d).Durable.torn_writes;
   let report = Durable.scrub d in
   Alcotest.(check int) "scrub replays the intention" 1 report.Durable.replayed;
-  Alcotest.(check int) "nothing discarded" 0 report.Durable.discarded;
   match Durable.read_verified d 2 with
   | Some (b, 2) ->
       Alcotest.(check bool) "acknowledged write survives" true (Block.equal b (block "b"))
   | _ -> Alcotest.fail "replayed block unreadable"
-
-let test_torn_journal_discarded () =
-  let d = Durable.create ~capacity:4 in
-  Durable.write d 0 (block "a") ~version:1;
-  Durable.write d 0 (block "b") ~version:2;
-  Durable.arm_torn_write ~mode:Durable.Torn_journal d;
-  Durable.crash d;
-  let report = Durable.scrub d in
-  Alcotest.(check int) "scrub discards the half-written record" 1 report.Durable.discarded;
-  Alcotest.(check int) "nothing replayed" 0 report.Durable.replayed;
-  (* The un-journaled write never happened: pre-image restored, verified. *)
-  match Durable.read_verified d 0 with
-  | Some (b, 1) -> Alcotest.(check bool) "pre-image restored" true (Block.equal b (block "a"))
-  | _ -> Alcotest.fail "pre-image unreadable"
 
 let test_crash_unarmed_is_harmless () =
   let d = Durable.create ~capacity:4 in
@@ -147,6 +131,28 @@ let test_scrub_counts_quarantined () =
   Alcotest.(check int) "both rotten blocks counted" 2 report.Durable.quarantined;
   Alcotest.(check bool) "last_scrub kept" true (Durable.last_scrub d = Some report)
 
+(* One commit per journalled write, a healing write included, and one per
+   metadata write: the sync writes bench/perf prices per op.  Nothing that
+   installs no intention commits. *)
+let test_journal_commits () =
+  let d = Durable.create ~capacity:4 in
+  let commits () = (Durable.counters d).Durable.journal_commits in
+  Durable.write d 0 (block "a") ~version:1;
+  Durable.write d 0 (block "a") ~version:1;
+  Alcotest.(check int) "one per write" 2 (commits ());
+  Durable.inject_bitrot d 0;
+  Durable.write d 0 (block "stale") ~version:0;
+  Alcotest.(check int) "none for a refused below-floor write" 2 (commits ());
+  Durable.write d 0 (block "healed") ~version:1;
+  Alcotest.(check int) "one for a healing write" 3 (commits ());
+  Alcotest.(check bool) "stale offer refused" false (Durable.absorb d 0 (block "old") ~version:1);
+  Alcotest.(check int) "none for a stale absorb" 3 (commits ());
+  Durable.apply_updates d [ (1, 2, block "t"); (2, 1, block "u") ];
+  Alcotest.(check int) "none for apply_updates" 3 (commits ());
+  Durable.set_meta d "w" [ 1 ];
+  Durable.set_meta d "w" [ 1; 2 ];
+  Alcotest.(check int) "one per set_meta" 5 (commits ())
+
 (* ------------------------------------------------------------------ *)
 (* Journaled metadata                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -169,18 +175,6 @@ let test_torn_meta_reset_to_default () =
   Alcotest.(check (list string)) "torn key reported" [ "w" ] report.Durable.meta_reset;
   Alcotest.(check (option (list int)))
     "conservative default restored" (Some [ 0; 1; 2 ]) (Durable.get_meta d "w")
-
-let test_torn_meta_journal_restores_previous () =
-  let d = Durable.create ~capacity:2 in
-  Durable.set_meta_default d "g" [ 9 ];
-  Durable.set_meta d "g" [ 1; 2 ];
-  Durable.set_meta d "g" [ 3 ];
-  Durable.arm_torn_write ~mode:Durable.Torn_journal d;
-  Durable.crash d;
-  (* The append tore: the write never became durable, previous value back. *)
-  Alcotest.(check (option (list int))) "previous value" (Some [ 1; 2 ]) (Durable.get_meta d "g");
-  let report = Durable.scrub d in
-  Alcotest.(check int) "discarded" 1 report.Durable.discarded
 
 (* ------------------------------------------------------------------ *)
 (* Disk replacement                                                    *)
@@ -226,23 +220,20 @@ let prop_bitrot_always_detected =
       Durable.inject_bitrot d 1;
       (not (Durable.checksum_ok d 1)) && Durable.version d 1 = v)
 
-(* Crash-atomicity: whichever way the crash tears, after the scrub the
-   block is verified and holds either the old or the new write — never a
-   mix, never garbage. *)
-let prop_scrub_restores_old_or_new =
-  QCheck.Test.make ~name:"scrub leaves either pre- or post-image, verified" ~count:200
-    QCheck.(pair bool (pair small_printable_string small_printable_string))
-    (fun (torn_journal, (old_s, new_s)) ->
+(* Crash-atomicity: an armed crash tears the apply of the last write and
+   the scrub replays it from the journal, so the acknowledged write
+   survives verified — never the pre-image, a mix or garbage. *)
+let prop_scrub_keeps_torn_write =
+  QCheck.Test.make ~name:"scrub keeps the torn write, verified" ~count:200
+    QCheck.(pair small_printable_string small_printable_string)
+    (fun (old_s, new_s) ->
       let d = Durable.create ~capacity:2 in
       Durable.write d 0 (block old_s) ~version:1;
       Durable.write d 0 (block new_s) ~version:2;
-      Durable.arm_torn_write
-        ~mode:(if torn_journal then Durable.Torn_journal else Durable.Torn_apply)
-        d;
+      Durable.arm_torn_write d;
       Durable.crash d;
       ignore (Durable.scrub d : Durable.scrub_report);
       match Durable.read_verified d 0 with
-      | Some (b, 1) -> Block.equal b (block old_s)
       | Some (b, 2) -> Block.equal b (block new_s)
       | _ -> false)
 
@@ -357,17 +348,15 @@ let () =
       ( "torn-writes",
         [
           Alcotest.test_case "torn apply replayed" `Quick test_torn_apply_replayed;
-          Alcotest.test_case "torn journal discarded" `Quick test_torn_journal_discarded;
           Alcotest.test_case "unarmed crash harmless" `Quick test_crash_unarmed_is_harmless;
           Alcotest.test_case "scrub counts quarantined" `Quick test_scrub_counts_quarantined;
-          QCheck_alcotest.to_alcotest prop_scrub_restores_old_or_new;
+          Alcotest.test_case "journal commits" `Quick test_journal_commits;
+          QCheck_alcotest.to_alcotest prop_scrub_keeps_torn_write;
         ] );
       ( "metadata",
         [
           Alcotest.test_case "roundtrip" `Quick test_meta_roundtrip;
           Alcotest.test_case "torn apply resets to default" `Quick test_torn_meta_reset_to_default;
-          Alcotest.test_case "torn journal restores previous" `Quick
-            test_torn_meta_journal_restores_previous;
         ] );
       ( "replacement",
         [
