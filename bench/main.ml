@@ -666,11 +666,12 @@ let brownout_section () =
     "robust" "issued" "ok" "t/o" "reject" "shed" "goodput" "p50" "p99" "hedged" "wins" "trips";
   List.iter
     (fun { bo_multiple; bo_slow; bo_sample = s } ->
+      let d = s.device in
       Format.printf "%5.1fx %6s %7B %7d %6d %5d %6d %6d %8.2f %7.3f %7.3f %7d %6d %6d@."
         bo_multiple
         (match bo_slow with Some (site, f) -> Printf.sprintf "%d@%gx" site f | None -> "-")
-        s.robustness_on s.issued s.succeeded s.timeouts s.rejected s.shed s.goodput s.latency_p50
-        s.latency_p99 s.hedged s.hedge_wins s.breaker_trips)
+        s.robustness_on s.issued d.succeeded d.timeouts d.rejected d.shed s.goodput s.latency_p50
+        s.latency_p99 d.hedged d.hedge_wins d.breaker_trips)
     rows;
   Format.printf "goodput = successful ops per virtual second of the arrival window; latencies@.";
   Format.printf "are successful-op response times.  Robustness on = deadlines + hedged reads@.";

@@ -24,11 +24,11 @@ let sweep_drop_rates () =
           let s =
             Workload.Experiment.measure_degradation ~scheme ~n_sites:3 ~fault_profile:profile ()
           in
+          let d = s.Workload.Experiment.device in
           printf "%-22s %8.2f %10d %8d %8d %8d %8d %8d\n"
             (Blockrep.Types.scheme_to_string scheme)
-            drop s.Workload.Experiment.completed s.Workload.Experiment.failed
-            s.Workload.Experiment.retries s.Workload.Experiment.recovered
-            s.Workload.Experiment.timeouts s.Workload.Experiment.faults_injected)
+            drop d.succeeded (s.ops - d.succeeded) d.retries d.recovered d.timeouts
+            s.faults_injected)
         [ 0.0; 0.05; 0.1; 0.2 ];
       printf "\n")
     [

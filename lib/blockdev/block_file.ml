@@ -1,6 +1,6 @@
 (* ADR-060-style block file: one flat byte image holding block payloads
    appended in first-write order, plus a compact index of
-   (offset, length, version, checksum) per block.
+   (offset, version, checksum) per block.
 
    A block that has never been written is not resident in the image
    (offset -1): it reads as the shared zero block and its index
@@ -27,7 +27,6 @@ type t = {
   mutable image : Bytes.t;
   mutable used : int;
   offs : int array; (* -1 = not resident *)
-  lens : int array; (* Block.size when resident, 0 otherwise *)
   vers : int array;
   sums : int array;
 }
@@ -50,7 +49,6 @@ let create ~capacity =
     image = Bytes.empty;
     used = 0;
     offs = Array.make capacity (-1);
-    lens = Array.make capacity 0;
     vers = Array.make capacity 0;
     sums = Array.make capacity (zero_block_sum lxor mix 0);
   }
@@ -76,7 +74,6 @@ let ensure_resident t k =
     end;
     Bytes.fill t.image t.used Block.size '\000';
     t.offs.(k) <- t.used;
-    t.lens.(k) <- Block.size;
     t.used <- need
   end
 
@@ -107,7 +104,6 @@ let reset t =
   t.used <- 0;
   for k = 0 to capacity t - 1 do
     t.offs.(k) <- -1;
-    t.lens.(k) <- 0;
     t.vers.(k) <- 0;
     t.sums.(k) <- zero_block_sum lxor mix 0
   done

@@ -1,5 +1,6 @@
 (** ADR-060-style block file: flat payload image + compact
-    (offset, length, version, checksum) index.
+    (offset, version, checksum) index.  Every resident region is
+    [Block.size] bytes long, so the index keeps no length.
 
     Payloads live as real bytes in one image buffer, appended on first
     write and overwritten in place thereafter; never-written blocks are

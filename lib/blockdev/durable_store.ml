@@ -37,8 +37,6 @@ let accumulate_counters acc c =
   acc.disk_replacements <- acc.disk_replacements + c.disk_replacements;
   acc.journal_commits <- acc.journal_commits + c.journal_commits
 
-type scrub_report = { replayed : int; quarantined : int; meta_reset : string list }
-
 (* The data and pre-image a torn apply needs, or the key of a metadata
    write (a torn one falls back to its registered default). *)
 type intention =
@@ -52,7 +50,6 @@ type t = {
   mutable journal : intention option;
   mutable armed : bool;
   mutable torn_meta : string option;
-  mutable last_scrub : scrub_report option;
   counters : counters;
 }
 
@@ -70,13 +67,11 @@ let create ~capacity =
     journal = None;
     armed = false;
     torn_meta = None;
-    last_scrub = None;
     counters = zero_counters ();
   }
 
 let capacity t = Block_file.capacity t.bf
 let counters t = t.counters
-let last_scrub t = t.last_scrub
 
 (* The checksum lives in the block-file index: CRC-32 over the payload
    bytes in the image, mixed with the version, sealed only at this
@@ -221,36 +216,26 @@ let crash t =
 
 let scrub t =
   t.counters.scrub_runs <- t.counters.scrub_runs + 1;
-  let replayed =
-    match t.journal with
-    | Some (Data { block; version; data; _ })
-      when Block_file.version t.bf block = version && not (checksum_ok t block) ->
-        (* Committed intention whose apply was torn: replay it exactly. *)
-        install t block data ~version;
-        1
-    | _ -> 0
-  in
+  (match t.journal with
+  | Some (Data { block; version; data; _ })
+    when Block_file.version t.bf block = version && not (checksum_ok t block) ->
+      (* Committed intention whose apply was torn: replay it exactly. *)
+      install t block data ~version;
+      t.counters.scrub_replayed <- t.counters.scrub_replayed + 1
+  | _ -> ());
   t.journal <- None;
-  let meta_reset =
-    match t.torn_meta with
-    | Some key ->
-        (match Hashtbl.find_opt t.meta_defaults key with
-        | Some d -> Hashtbl.replace t.meta key d
-        | None -> Hashtbl.remove t.meta key);
-        t.torn_meta <- None;
-        t.counters.scrub_meta_reset <- t.counters.scrub_meta_reset + 1;
-        [ key ]
-    | None -> []
-  in
-  let quarantined = ref 0 in
+  (match t.torn_meta with
+  | Some key ->
+      (match Hashtbl.find_opt t.meta_defaults key with
+      | Some d -> Hashtbl.replace t.meta key d
+      | None -> Hashtbl.remove t.meta key);
+      t.torn_meta <- None;
+      t.counters.scrub_meta_reset <- t.counters.scrub_meta_reset + 1
+  | None -> ());
   for k = 0 to capacity t - 1 do
-    if not (checksum_ok t k) then incr quarantined
-  done;
-  t.counters.scrub_replayed <- t.counters.scrub_replayed + replayed;
-  t.counters.scrub_quarantined <- t.counters.scrub_quarantined + !quarantined;
-  let report = { replayed; quarantined = !quarantined; meta_reset } in
-  t.last_scrub <- Some report;
-  report
+    if not (checksum_ok t k) then
+      t.counters.scrub_quarantined <- t.counters.scrub_quarantined + 1
+  done
 
 let replace_disk t =
   Block_file.reset t.bf;

@@ -2,7 +2,7 @@
     honest failure model the protocols must actually survive.
 
     Payloads are real bytes in a {!Block_file} image with an (offset,
-    length, version, checksum) index.  The disk survives site failures (a
+    version, checksum) index.  The disk survives site failures (a
     failed site that repairs still has its — possibly stale — blocks and
     versions), which is why recovery only transfers the blocks modified
     during the outage.  On top of that ideal disk this module keeps:
@@ -66,12 +66,6 @@ type counters = {
 val zero_counters : unit -> counters
 val accumulate_counters : counters -> counters -> unit
 (** [accumulate_counters acc c] adds [c] into [acc] (cluster totals). *)
-
-type scrub_report = {
-  replayed : int;  (** committed intentions whose torn apply was redone *)
-  quarantined : int;  (** checksum-invalid blocks awaiting peer repair *)
-  meta_reset : string list;  (** metadata keys reset to their defaults *)
-}
 
 val create : capacity:int -> t
 (** A fresh durable store over a blank disk: zeroed blocks at version 0,
@@ -177,13 +171,13 @@ val replace_disk : t -> unit
 
 (** {1 Recovery} *)
 
-val scrub : t -> scrub_report
+val scrub : t -> unit
 (** Recovery-time integrity pass, run before a repaired site rejoins:
     replay a committed intention whose apply was torn, reset a torn
     metadata key to its default, and count the quarantined blocks left for
-    peer transfer to heal. *)
-
-val last_scrub : t -> scrub_report option
+    peer transfer to heal.  What it did is counted in {!counters}:
+    [scrub_runs], [scrub_replayed], [scrub_meta_reset] and
+    [scrub_quarantined]. *)
 
 val counters : t -> counters
 (** Live counters for this store (shared, not a snapshot). *)

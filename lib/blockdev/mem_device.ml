@@ -27,7 +27,7 @@ let fail t =
   t.alive <- false
 
 let revive t =
-  ignore (Durable_store.scrub t.durable);
+  Durable_store.scrub t.durable;
   t.alive <- true
 
 let arm_torn_write t = Durable_store.arm_torn_write t.durable

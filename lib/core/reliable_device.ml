@@ -14,63 +14,69 @@ type op_view = {
 type t = {
   cluster : Cluster.t;
   home : int;
-  policy : Retry.policy;
-  settle : float;  (** drain imposed before switching service between available sites *)
+  op_timeout : float;
+      (** the retry schedule's unit, and the settle barrier drained before
+          switching service between available sites *)
   budget : float option;
       (** per-operation virtual-time budget; each request's absolute
           deadline is [now + budget], propagated end-to-end *)
   admission : int option;
-  stats : Retry.stats;  (** one [Retry.run] per sync request *)
-  mutable site_attempts : int;
-  mutable failovers : int;
   mutable last_served : int;
   mutable last_tried : int;
+  mutable last_attempt : int;  (** attempt number of the latest sync rotation *)
   mutable observers : (op_view -> unit) list;
-  mutable last_error : Types.failure_reason option;
   mutable in_flight : int;
+  (* The one ledger: sync and async requests count into the same fields,
+     which [degradation] reads as they are. *)
+  mutable requests : int;
+  mutable site_attempts : int;
+  mutable failovers : int;
+  mutable retries : int;
+  mutable succeeded : int;
+  mutable recovered : int;
+  mutable timeouts : int;
+  mutable gave_up : int;
+  mutable rejected : int;
   mutable shed : int;
-  mutable async_ops : int;
-  mutable async_ok : int;
-  mutable async_timeouts : int;
-  mutable async_rejected : int;
-  mutable async_failed : int;
+  mutable last_errors : (float * string) list;
 }
 
 let create ?(home = 0) cluster =
   if home < 0 || home >= Cluster.n_sites cluster then
     invalid_arg "Reliable_device.create: bad home site";
   let config = Cluster.config cluster in
-  let policy = Retry.default_policy ~unit:config.Config.op_timeout () in
+  let op_timeout = config.Config.op_timeout in
   let robustness = config.Config.robustness in
   let budget =
     if not robustness.Robustness.deadlines then None
     else
-      (* An explicit op budget, or the retry policy's own deadline — the
+      (* An explicit op budget, or the retry schedule's own budget — the
          point past which the device would abandon the operation anyway, so
          sub-requests beyond it are provably useless. *)
-      Some (Option.value robustness.Robustness.op_budget ~default:policy.Retry.deadline)
+      Some (Option.value robustness.Robustness.op_budget ~default:(Retry.budget ~unit:op_timeout))
   in
   {
     cluster;
     home;
-    policy;
-    settle = config.Config.op_timeout;
+    op_timeout;
     budget;
     admission = robustness.Robustness.admission;
-    stats = Retry.create_stats ();
-    site_attempts = 0;
-    failovers = 0;
     last_served = home;
     last_tried = home;
+    last_attempt = 0;
     observers = [];
-    last_error = None;
     in_flight = 0;
+    requests = 0;
+    site_attempts = 0;
+    failovers = 0;
+    retries = 0;
+    succeeded = 0;
+    recovered = 0;
+    timeouts = 0;
+    gave_up = 0;
+    rejected = 0;
     shed = 0;
-    async_ops = 0;
-    async_ok = 0;
-    async_timeouts = 0;
-    async_rejected = 0;
-    async_failed = 0;
+    last_errors = [];
   }
 
 let of_config config = create (Cluster.create config)
@@ -78,7 +84,6 @@ let cluster t = t.cluster
 let home t = t.home
 let deadline_budget t = t.budget
 let capacity t = Cluster.n_blocks t.cluster
-let last_error t = t.last_error
 let in_flight t = t.in_flight
 let add_observer t f = t.observers <- t.observers @ [ f ]
 let now t = Sim.Engine.now (Cluster.engine t.cluster)
@@ -96,7 +101,7 @@ let op_deadline t = Option.map (fun b -> now t +. b) t.budget
    would not help and the error is surfaced to the retry layer.
 
    Before handing a request to an *available* site other than the one that
-   served last, the device lets in-flight traffic drain for [settle]
+   served last, the device lets in-flight traffic drain for [op_timeout]
    virtual time: the copy schemes propagate updates fire-and-forget, so
    without the barrier a failover (or the return home after one) could
    read a copy that has not yet received the previous server's update — or
@@ -106,7 +111,7 @@ let rotation t attempt =
   let n = Cluster.n_sites t.cluster in
   let rec go tried site =
     if site <> t.last_served && Cluster.site_state t.cluster site = Types.Available then
-      Cluster.run_until t.cluster (now t +. t.settle);
+      Cluster.run_until t.cluster (now t +. t.op_timeout);
     t.site_attempts <- t.site_attempts + 1;
     t.last_tried <- site;
     match attempt site with
@@ -120,15 +125,40 @@ let rotation t attempt =
   in
   go 0 t.home
 
+let error_window = 8
+
+(* Newest first, at most [error_window] entries, one per failed attempt. *)
+let record_error t reason =
+  let keep = List.filteri (fun i _ -> i < error_window - 1) t.last_errors in
+  t.last_errors <- (now t, Types.failure_reason_to_string reason) :: keep
+
 (* A full failed rotation may still be transient (messages lost to the
    wire, a repair in flight), so the bounded-backoff layer wraps it.  With
    deadlines enabled the absolute deadline is fixed here, at the top of
    the operation, and flows through every rotation, retry and protocol
-   round below; no retry is started at or past it. *)
+   round below; no retry is started at or past it.  The number of the last
+   attempt says how a failed request ended: at [Retry.max_attempts] it
+   gave up, earlier a time bound stopped it.  It is stored after the
+   rotation returns, so a request nested inside one cannot overwrite it. *)
 let forward t attempt =
   let deadline = op_deadline t in
-  Retry.run t.policy ~engine:(Cluster.engine t.cluster) ~stats:t.stats ?deadline
-    (fun ~attempt:_ -> rotation t (attempt ~deadline))
+  t.requests <- t.requests + 1;
+  let result =
+    Retry.run ~unit:t.op_timeout ~engine:(Cluster.engine t.cluster) ?deadline (fun ~attempt:n ->
+        if n > 1 then t.retries <- t.retries + 1;
+        let outcome = rotation t (attempt ~deadline) in
+        (match outcome with Ok _ -> () | Error reason -> record_error t reason);
+        t.last_attempt <- n;
+        outcome)
+  in
+  (match result with
+  | Ok _ ->
+      t.succeeded <- t.succeeded + 1;
+      if t.last_attempt > 1 then t.recovered <- t.recovered + 1
+  | Error _ ->
+      if t.last_attempt >= Retry.max_attempts then t.gave_up <- t.gave_up + 1
+      else t.timeouts <- t.timeouts + 1);
+  result
 
 (* Observers carry closures, so structural comparison (even against [])
    is off the table; test emptiness by pattern instead. *)
@@ -146,9 +176,6 @@ let observe t kind block ~invoked ~payload result =
   in
   List.iter (fun f -> f view) t.observers
 
-(* Remember why the latest answer failed, for [last_error]. *)
-let remember t = function Ok _ -> t.last_error <- None | Error reason -> t.last_error <- Some reason
-
 let read_block t block =
   if block < 0 || block >= capacity t then None
   else begin
@@ -158,7 +185,6 @@ let read_block t block =
        match result with
        | Ok (data, version) -> observe t Read block ~invoked ~payload:(Some data) (Ok version)
        | Error e -> observe t Read block ~invoked ~payload:None (Error e));
-    remember t result;
     match result with Ok (data, _) -> Some data | Error _ -> None
   end
 
@@ -170,7 +196,6 @@ let write_block t block data =
       forward t (fun ~deadline site -> Cluster.write_sync ?deadline t.cluster ~site ~block data)
     in
     if has_observers t then observe t Write block ~invoked ~payload:(Some data) result;
-    remember t result;
     Result.is_ok result
   end
 
@@ -197,7 +222,6 @@ let write_blocks t writes =
            List.iter
              (fun (block, data) -> observe t Write block ~invoked ~payload:(Some data) (Error e))
              writes);
-    remember t result;
     Result.is_ok result
   end
 
@@ -207,32 +231,31 @@ let write_blocks t writes =
 
 let admit t = match t.admission with Some limit -> t.in_flight < limit | None -> true
 
-(* Classify each settled async operation into exactly one degradation
-   bucket, so the conservation identity covers the open-loop path too:
+(* Classify each settled async operation into exactly one ledger bucket,
+   so the conservation identity covers the open-loop path too:
    cluster-level [Overloaded] (full entry queue downstream) counts as
    rejected, [Timed_out] as a deadline timeout, any other error as given
    up (the async path carries no retry loop). *)
 let finish_async t callback result =
   t.in_flight <- t.in_flight - 1;
   (match result with
-  | Ok _ -> t.async_ok <- t.async_ok + 1
-  | Error Types.Overloaded -> t.async_rejected <- t.async_rejected + 1
-  | Error Types.Timed_out -> t.async_timeouts <- t.async_timeouts + 1
-  | Error _ -> t.async_failed <- t.async_failed + 1);
-  remember t result;
+  | Ok _ -> t.succeeded <- t.succeeded + 1
+  | Error Types.Overloaded -> t.rejected <- t.rejected + 1
+  | Error Types.Timed_out -> t.timeouts <- t.timeouts + 1
+  | Error _ -> t.gave_up <- t.gave_up + 1);
   callback result
 
 let check_async t k name =
   if k < 0 || k >= capacity t then invalid_arg ("Reliable_device." ^ name ^ ": block out of range")
 
 let submit_async t issue callback =
+  t.requests <- t.requests + 1;
   if not (admit t) then begin
     t.shed <- t.shed + 1;
-    t.last_error <- Some Types.Overloaded;
     callback (Error Types.Overloaded)
   end
   else begin
-    t.async_ops <- t.async_ops + 1;
+    t.site_attempts <- t.site_attempts + 1;
     t.in_flight <- t.in_flight + 1;
     issue (finish_async t callback)
   end
@@ -272,24 +295,23 @@ type degradation = {
   last_errors : (float * string) list;
 }
 
-let degradation t =
-  let s = t.stats in
+let degradation (t : t) =
   {
-    requests = Retry.operations s + t.async_ops + t.shed;
-    site_attempts = t.site_attempts + t.async_ops;
+    requests = t.requests;
+    site_attempts = t.site_attempts;
     failovers = t.failovers;
-    retries = Retry.retries s;
-    succeeded = Retry.succeeded s + t.async_ok;
-    recovered = Retry.recovered s;
-    timeouts = Retry.timeouts s + t.async_timeouts;
-    gave_up = Retry.gave_up s + t.async_failed;
-    rejected = t.async_rejected;
+    retries = t.retries;
+    succeeded = t.succeeded;
+    recovered = t.recovered;
+    timeouts = t.timeouts;
+    gave_up = t.gave_up;
+    rejected = t.rejected;
     shed = t.shed;
     hedged = Cluster.hedged t.cluster;
     hedge_wins = Cluster.hedge_wins t.cluster;
     breaker_trips = Cluster.breaker_trips t.cluster;
     messages_shed = Cluster.messages_shed t.cluster;
-    last_errors = Retry.last_errors s;
+    last_errors = t.last_errors;
   }
 
 let degradation_conserved d =

@@ -21,8 +21,8 @@
     home, so a transient home outage costs one failed probe per request
     while it lasts and service moves back automatically the moment the
     home recovers.  When a whole rotation fails (e.g. messages lost to an
-    injected fault), the device retries it under
-    [Retry.default_policy ~unit:op_timeout] instead of failing the request
+    injected fault), the device retries it on {!Retry}'s fixed schedule,
+    in units of the cluster's [op_timeout], instead of failing the request
     outright.
 
     Because the copy schemes propagate updates fire-and-forget, the device
@@ -36,8 +36,9 @@
 
     With [Config.robustness.deadlines] enabled, every request is given an
     absolute deadline of now plus [Config.robustness.op_budget] (default:
-    the retry policy's own deadline), which flows through failover, every
-    retry and every protocol round — see {!deadline_budget}. *)
+    the retry schedule's budget, [64 op_timeout]), which flows through
+    failover, every retry and every protocol round — see
+    {!deadline_budget}. *)
 
 type t
 
@@ -61,7 +62,7 @@ include Blockdev.Device_intf.S with type t := t
 (** [read_block] and [write_block] forward one request synchronously,
     driving the engine: on [Site_not_available] the request moves on once
     to each other site in id order, and the whole rotation is retried
-    under the retry policy when it fails outright.  [None]/[false] without
+    on the {!Retry} schedule when it fails outright.  [None]/[false] without
     touching the cluster on an out-of-range id. *)
 
 val write_blocks : t -> (Blockdev.Block.id * Blockdev.Block.t) list -> bool
@@ -72,9 +73,6 @@ val write_blocks : t -> (Blockdev.Block.id * Blockdev.Block.t) list -> bool
     {!write_block}.  [false] without touching the cluster or any counter
     when the batch fails {!Cluster.valid_batch} (empty, an id out of range
     or a repeated id), as {!write_block} answers an out-of-range id. *)
-
-val last_error : t -> Types.failure_reason option
-(** Reason for the most recent [None]/[false] answer, for diagnostics. *)
 
 (** {1 Operation observers}
 
@@ -130,11 +128,11 @@ val in_flight : t -> int
 (** {1 Degradation statistics}
 
     A structured snapshot of how hard the device is working to stay
-    reliable: request and failover counts, retry/timeout counters from the
-    {!Retry} layer, overload/gray-failure counters from the cluster's
-    robustness stack, and the most recent errors.  All zeros on a healthy,
-    fault-free cluster.  What the wire did is not copied here: read the
-    injector's {!Net.Faults.counters} ({!Cluster.faults}) and the
+    reliable.  The device keeps one ledger: sync and async requests count
+    into the same fields, which this snapshot reads as they are, beside
+    the cluster's four overload/gray-failure counts.  All zeros on a
+    healthy, fault-free cluster.  What the wire did is not copied here:
+    read the injector's {!Net.Faults.counters} ({!Cluster.faults}) and the
     network's ingress ledger ([Runtime.Transport.ingress]). *)
 
 type degradation = {
@@ -152,7 +150,9 @@ type degradation = {
   hedge_wins : int;  (** hedged reads whose hedge answered first *)
   breaker_trips : int;  (** closed-to-open circuit-breaker transitions *)
   messages_shed : int;  (** protocol messages dropped at full site queues *)
-  last_errors : (float * string) list;  (** newest first *)
+  last_errors : (float * string) list;
+      (** the 8 most recent failed sync attempts, newest first: (virtual
+          time, failure reason) *)
 }
 
 val degradation : t -> degradation

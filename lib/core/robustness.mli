@@ -28,8 +28,8 @@ type t = {
   op_budget : float option;
       (** per-operation wall budget (virtual time) measured from the
           moment the device accepts the operation; [None] with [deadlines]
-          on falls back to the retry policy's deadline.  Requires
-          [deadlines = true]. *)
+          on falls back to the retry schedule's budget, [64 op_timeout].
+          Requires [deadlines = true]. *)
   hedge : hedge option;
       (** hedged reads (AC/NAC only): if the local serve has not completed
           by the delay, race a single remote copy against it *)

@@ -281,7 +281,7 @@ let repair_site t i on_repair =
   if s.state = Types.Failed then begin
     (* Power back on: integrity pass over the journal before the protocol
        sees the disk, then reload the disk-resident metadata mirror. *)
-    ignore (Durable.scrub s.durable : Durable.scrub_report);
+    Durable.scrub s.durable;
     (match Durable.get_meta s.durable w_meta_key with
     | Some ids -> s.w <- Int_set.of_list ids
     | None -> ());

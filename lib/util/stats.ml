@@ -19,7 +19,6 @@ let add s x =
 let count s = s.n
 let mean s = if s.n = 0 then nan else s.mean
 let variance s = if s.n < 2 then nan else s.m2 /. float_of_int (s.n - 1)
-let stddev s = sqrt (variance s)
 let min_value s = s.min_v
 let max_value s = s.max_v
 

@@ -221,12 +221,7 @@ type degradation_sample = {
   n_sites : int;
   fault_profile : Net.Faults.profile;
   ops : int;
-  completed : int;
-  failed : int;
-  retries : int;
-  recovered : int;
-  timeouts : int;
-  gave_up : int;
+  device : Blockrep.Reliable_device.degradation;
   faults_injected : int;
 }
 
@@ -237,28 +232,19 @@ let measure_degradation ~scheme ~n_sites ~fault_profile ?(reads_per_write = 2.0)
   in
   let device = Blockrep.Reliable_device.of_config config in
   let gen = Access_gen.create ~rng:(Util.Prng.create (seed + 1)) ~n_blocks:16 ~reads_per_write () in
-  let completed = ref 0 in
-  let failed = ref 0 in
   for _ = 1 to ops do
-    let ok =
-      match Access_gen.next gen with
-      | Access_gen.Read block -> Blockrep.Reliable_device.read_block device block <> None
-      | Access_gen.Write (block, data) -> Blockrep.Reliable_device.write_block device block data
-    in
-    incr (if ok then completed else failed)
+    match Access_gen.next gen with
+    | Access_gen.Read block ->
+        ignore (Blockrep.Reliable_device.read_block device block : Blockdev.Block.t option)
+    | Access_gen.Write (block, data) ->
+        ignore (Blockrep.Reliable_device.write_block device block data : bool)
   done;
-  let d = Blockrep.Reliable_device.degradation device in
   {
     scheme;
     n_sites;
     fault_profile;
     ops;
-    completed = !completed;
-    failed = !failed;
-    retries = d.Blockrep.Reliable_device.retries;
-    recovered = d.Blockrep.Reliable_device.recovered;
-    timeouts = d.Blockrep.Reliable_device.timeouts;
-    gave_up = d.Blockrep.Reliable_device.gave_up;
+    device = Blockrep.Reliable_device.degradation device;
     faults_injected =
       (match Blockrep.Cluster.faults (Blockrep.Reliable_device.cluster device) with
       | Some f -> Net.Faults.total_injected f
@@ -272,18 +258,10 @@ type brownout_sample = {
   robustness_on : bool;
   horizon : float;
   issued : int;
-  succeeded : int;
-  timeouts : int;
-  gave_up : int;
-  rejected : int;
-  shed : int;
+  device : Blockrep.Reliable_device.degradation;
   goodput : float;
   latency_p50 : float;
   latency_p99 : float;
-  hedged : int;
-  hedge_wins : int;
-  breaker_trips : int;
-  messages_shed : int;
   conserved : bool;
 }
 
@@ -369,18 +347,10 @@ let measure_brownout ~scheme ~n_sites ~offered_rate ~robustness ?slow
     robustness_on = robustness;
     horizon;
     issued = !issued;
-    succeeded = d.Blockrep.Reliable_device.succeeded;
-    timeouts = d.Blockrep.Reliable_device.timeouts;
-    gave_up = d.Blockrep.Reliable_device.gave_up;
-    rejected = d.Blockrep.Reliable_device.rejected;
-    shed = d.Blockrep.Reliable_device.shed;
+    device = d;
     goodput = float_of_int d.Blockrep.Reliable_device.succeeded /. horizon;
     latency_p50 = Util.Stats.Histogram.quantile hist 0.5;
     latency_p99 = Util.Stats.Histogram.quantile hist 0.99;
-    hedged = d.Blockrep.Reliable_device.hedged;
-    hedge_wins = d.Blockrep.Reliable_device.hedge_wins;
-    breaker_trips = d.Blockrep.Reliable_device.breaker_trips;
-    messages_shed = d.Blockrep.Reliable_device.messages_shed;
     conserved =
       Blockrep.Reliable_device.degradation_conserved d
       && Blockrep.Reliable_device.in_flight device = 0

@@ -135,12 +135,9 @@ type degradation_sample = {
   n_sites : int;
   fault_profile : Net.Faults.profile;
   ops : int;
-  completed : int;  (** operations that succeeded through the device *)
-  failed : int;  (** operations the device finally refused *)
-  retries : int;
-  recovered : int;
-  timeouts : int;
-  gave_up : int;
+  device : Blockrep.Reliable_device.degradation;
+      (** the device's ledger after the run: [succeeded] operations
+          completed, the other [ops - succeeded] were finally refused *)
   faults_injected : int;
 }
 
@@ -165,18 +162,10 @@ type brownout_sample = {
   robustness_on : bool;
   horizon : float;  (** arrival window length *)
   issued : int;
-  succeeded : int;
-  timeouts : int;  (** deadline expiries ([Timed_out]) *)
-  gave_up : int;  (** other terminal failures *)
-  rejected : int;  (** [Overloaded] from full site entry queues *)
-  shed : int;  (** refused at the device admission gate *)
+  device : Blockrep.Reliable_device.degradation;  (** the device's ledger after the drain *)
   goodput : float;  (** successful operations per virtual second *)
   latency_p50 : float;  (** successful-operation response time quantiles *)
   latency_p99 : float;
-  hedged : int;
-  hedge_wins : int;
-  breaker_trips : int;
-  messages_shed : int;
   conserved : bool;
       (** counter conservation held after the drain:
           [issued = succeeded + timeouts + gave_up + rejected + shed]

@@ -104,7 +104,7 @@ let test_total_failure_surfaces_error () =
     Cluster.fail_site c i
   done;
   Alcotest.(check bool) "read fails" true (Device.read_block d 0 = None);
-  Alcotest.(check bool) "error reason recorded" true (Device.last_error d <> None);
+  Alcotest.(check bool) "error reason recorded" true ((Device.degradation d).last_errors <> []);
   Alcotest.(check bool) "write fails" false (Device.write_block d 0 Block.zero)
 
 let test_device_recovers_after_total_failure () =
@@ -168,6 +168,50 @@ let test_deadline_bounds_sync_retries () =
   Alcotest.(check int) "one retry, inside the budget" 1 deg.Device.retries;
   Alcotest.(check bool) "conserved" true (Device.degradation_conserved deg)
 
+let test_ledger_counts_every_ending () =
+  (* Sync and async requests count into one ledger, and every request ends
+     exactly one way.  With sites 1 and 2 down a voting read at site 0
+     fails at once on every attempt, so it sleeps the whole backoff
+     schedule (4, 8, 16, 32, 64 with op_timeout 4) and gives up on its
+     sixth attempt at t = 124.  Site 1 comes back at t = 130, during the
+     next read's second backoff, so that read recovers on its third
+     attempt, the one after that succeeds first try, and of
+     two async reads the second finds the single admission slot taken. *)
+  let robustness = { Blockrep.Robustness.off with admission = Some 1 } in
+  let d =
+    Device.of_config
+      (Blockrep.Config.make_exn ~scheme:Types.Voting ~n_sites:3 ~n_blocks:8 ~seed:404 ~robustness ())
+  in
+  let c = Device.cluster d in
+  let now () = Sim.Engine.now (Cluster.engine c) in
+  Cluster.fail_site c 1;
+  Cluster.fail_site c 2;
+  Alcotest.(check bool) "read gives up" true (Device.read_block d 0 = None);
+  Alcotest.(check (float 1e-9)) "after the whole schedule" 124.0 (now ());
+  Alcotest.(check (list (float 1e-9)))
+    "one error per failed attempt, newest first" [ 124.0; 60.0; 28.0; 12.0; 4.0; 0.0 ]
+    (List.map fst (Device.degradation d).last_errors);
+  ignore
+    (Sim.Engine.schedule_at (Cluster.engine c) ~time:(now () +. 6.0) (fun () ->
+         Cluster.repair_site c 1)
+      : Sim.Engine.handle);
+  Alcotest.(check bool) "read recovers" true (Device.read_block d 0 <> None);
+  Alcotest.(check int) "on its third attempt" 7 (Device.degradation d).retries;
+  Alcotest.(check bool) "read succeeds first try" true (Device.read_block d 0 <> None);
+  let answers = ref [] in
+  let answer r = answers := Result.is_ok r :: !answers in
+  Device.read_block_async d 0 answer;
+  Device.read_block_async d 0 answer;
+  Alcotest.(check (list bool)) "second async read shed at once" [ false ] !answers;
+  Cluster.settle c;
+  Alcotest.(check (list bool)) "first async read served" [ true; false ] !answers;
+  let g = Device.degradation d in
+  Alcotest.(check (list int))
+    "requests, site_attempts, retries, succeeded, recovered, gave_up, timeouts, shed"
+    [ 5; 11; 7; 3; 1; 1; 0; 1 ]
+    [ g.requests; g.site_attempts; g.retries; g.succeeded; g.recovered; g.gave_up; g.timeouts; g.shed ];
+  Alcotest.(check bool) "conserved" true (Device.degradation_conserved g)
+
 let () =
   Alcotest.run "device"
     [
@@ -191,5 +235,6 @@ let () =
           Alcotest.test_case "request counting" `Quick test_request_counting;
           Alcotest.test_case "deadline bounds sync retries" `Quick
             test_deadline_bounds_sync_retries;
+          Alcotest.test_case "ledger counts every ending" `Quick test_ledger_counts_every_ending;
         ] );
     ]

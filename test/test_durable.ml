@@ -102,8 +102,8 @@ let test_torn_apply_replayed () =
      under an intact version number. *)
   Alcotest.(check bool) "torn block quarantined" false (Durable.checksum_ok d 2);
   Alcotest.(check int) "torn write counted" 1 (Durable.counters d).Durable.torn_writes;
-  let report = Durable.scrub d in
-  Alcotest.(check int) "scrub replays the intention" 1 report.Durable.replayed;
+  Durable.scrub d;
+  Alcotest.(check int) "scrub replays the intention" 1 (Durable.counters d).scrub_replayed;
   match Durable.read_verified d 2 with
   | Some (b, 2) ->
       Alcotest.(check bool) "acknowledged write survives" true (Block.equal b (block "b"))
@@ -114,9 +114,11 @@ let test_crash_unarmed_is_harmless () =
   Durable.write d 1 (block "kept") ~version:1;
   Durable.crash d;
   Alcotest.(check bool) "disk intact" true (Durable.checksum_ok d 1);
-  let report = Durable.scrub d in
-  Alcotest.(check int) "clean scrub: nothing to replay" 0 report.Durable.replayed;
-  Alcotest.(check int) "clean scrub: nothing quarantined" 0 report.Durable.quarantined
+  Durable.scrub d;
+  let c = Durable.counters d in
+  Alcotest.(check int) "one scrub run" 1 c.Durable.scrub_runs;
+  Alcotest.(check int) "clean scrub: nothing to replay" 0 c.scrub_replayed;
+  Alcotest.(check int) "clean scrub: nothing quarantined" 0 c.scrub_quarantined
 
 let test_scrub_counts_quarantined () =
   let d = Durable.create ~capacity:4 in
@@ -127,9 +129,11 @@ let test_scrub_counts_quarantined () =
   Durable.write d 1 (block "z") ~version:1;
   Durable.inject_bitrot d 0;
   Durable.inject_bitrot d 3;
-  let report = Durable.scrub d in
-  Alcotest.(check int) "both rotten blocks counted" 2 report.Durable.quarantined;
-  Alcotest.(check bool) "last_scrub kept" true (Durable.last_scrub d = Some report)
+  Durable.scrub d;
+  Alcotest.(check int) "both rotten blocks counted" 2 (Durable.counters d).scrub_quarantined;
+  (* Nothing was healed, so a second pass counts them again. *)
+  Durable.scrub d;
+  Alcotest.(check int) "counted per pass" 4 (Durable.counters d).scrub_quarantined
 
 (* One commit per journalled write, a healing write included, and one per
    metadata write: the sync writes bench/perf prices per op.  Nothing that
@@ -171,8 +175,8 @@ let test_torn_meta_reset_to_default () =
   Durable.set_meta d "w" [ 1 ];
   Durable.arm_torn_write d;
   Durable.crash d;
-  let report = Durable.scrub d in
-  Alcotest.(check (list string)) "torn key reported" [ "w" ] report.Durable.meta_reset;
+  Durable.scrub d;
+  Alcotest.(check int) "torn key reset" 1 (Durable.counters d).scrub_meta_reset;
   Alcotest.(check (option (list int)))
     "conservative default restored" (Some [ 0; 1; 2 ]) (Durable.get_meta d "w")
 
@@ -232,7 +236,7 @@ let prop_scrub_keeps_torn_write =
       Durable.write d 0 (block new_s) ~version:2;
       Durable.arm_torn_write d;
       Durable.crash d;
-      ignore (Durable.scrub d : Durable.scrub_report);
+      Durable.scrub d;
       match Durable.read_verified d 0 with
       | Some (b, 2) -> Block.equal b (block new_s)
       | _ -> false)

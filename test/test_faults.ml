@@ -168,133 +168,68 @@ let test_config_fault_profile_installs_injector () =
 (* ------------------------------------------------------------------ *)
 
 let test_backoff_schedule () =
-  let p = Retry.default_policy ~unit:1.0 () in
-  Alcotest.(check (float 1e-9)) "first backoff" 1.0 (Retry.backoff p ~attempt:1);
-  Alcotest.(check (float 1e-9)) "doubles" 2.0 (Retry.backoff p ~attempt:2);
-  Alcotest.(check (float 1e-9)) "keeps doubling" 8.0 (Retry.backoff p ~attempt:4);
-  Alcotest.(check (float 1e-9)) "caps at 16 units" 16.0 (Retry.backoff p ~attempt:7);
-  (match Retry.validate p with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "default policy invalid: %s" e);
-  match Retry.validate { p with max_attempts = 0 } with
-  | Ok _ -> Alcotest.fail "zero attempts accepted"
-  | Error _ -> ()
+  Alcotest.(check (float 1e-9)) "first backoff" 1.0 (Retry.backoff ~unit:1.0 ~attempt:1);
+  Alcotest.(check (float 1e-9)) "doubles" 2.0 (Retry.backoff ~unit:1.0 ~attempt:2);
+  Alcotest.(check (float 1e-9)) "keeps doubling" 8.0 (Retry.backoff ~unit:1.0 ~attempt:4);
+  Alcotest.(check (float 1e-9)) "caps at 16 units" 16.0 (Retry.backoff ~unit:1.0 ~attempt:7);
+  Alcotest.(check (float 1e-9)) "scales with the unit" 8.0 (Retry.backoff ~unit:4.0 ~attempt:2);
+  Alcotest.(check (float 1e-9)) "cap scales too" 64.0 (Retry.backoff ~unit:4.0 ~attempt:9);
+  Alcotest.(check (float 1e-9)) "budget is 64 units" 256.0 (Retry.budget ~unit:4.0)
 
 let test_retry_recovers_and_advances_time () =
   let engine = Sim.Engine.create () in
-  let stats = Retry.create_stats () in
-  let p = Retry.default_policy ~unit:1.0 () in
   let calls = ref 0 in
   let result =
-    Retry.run p ~engine ~stats (fun ~attempt ->
+    Retry.run ~unit:1.0 ~engine (fun ~attempt ->
         incr calls;
         if attempt < 3 then Error Types.No_quorum else Ok "served")
   in
   Alcotest.(check bool) "eventually succeeds" true (result = Ok "served");
   Alcotest.(check int) "three calls" 3 !calls;
-  Alcotest.(check int) "operations" 1 (Retry.operations stats);
-  Alcotest.(check int) "attempts" 3 (Retry.attempts stats);
-  Alcotest.(check int) "retries" 2 (Retry.retries stats);
-  Alcotest.(check int) "recovered" 1 (Retry.recovered stats);
-  Alcotest.(check int) "no give-ups" 0 (Retry.gave_up stats);
   (* Backoffs 1 and 2 were slept in virtual time. *)
-  Alcotest.(check (float 1e-9)) "virtual time advanced" 3.0 (Sim.Engine.now engine);
-  Alcotest.(check int) "both errors remembered" 2 (List.length (Retry.last_errors stats))
+  Alcotest.(check (float 1e-9)) "virtual time advanced" 3.0 (Sim.Engine.now engine)
 
 let test_retry_gives_up () =
   let engine = Sim.Engine.create () in
-  let stats = Retry.create_stats () in
-  let p = { (Retry.default_policy ~unit:1.0 ()) with max_attempts = 3 } in
-  let result = Retry.run p ~engine ~stats (fun ~attempt:_ -> Error Types.Timed_out) in
+  let calls = ref 0 in
+  let result =
+    Retry.run ~unit:1.0 ~engine (fun ~attempt:_ ->
+        incr calls;
+        Error Types.Timed_out)
+  in
   Alcotest.(check bool) "last error surfaced" true (result = Error Types.Timed_out);
-  Alcotest.(check int) "all attempts used" 3 (Retry.attempts stats);
-  Alcotest.(check int) "gave up once" 1 (Retry.gave_up stats);
-  Alcotest.(check int) "no timeout counted" 0 (Retry.timeouts stats)
+  Alcotest.(check int) "all attempts used" Retry.max_attempts !calls;
+  Alcotest.(check (float 1e-9)) "backoffs 1+2+4+8+16 slept" 31.0 (Sim.Engine.now engine)
 
 let test_retry_deadline () =
+  (* Each attempt costs 20 units: attempts start at t = 0, 21 and 43, and
+     a fourth would start at t = 67, past the 64-unit budget. *)
   let engine = Sim.Engine.create () in
-  let stats = Retry.create_stats () in
-  let p =
-    {
-      Retry.max_attempts = 10;
-      base_delay = 10.0;
-      multiplier = 2.0;
-      max_delay = 80.0;
-      deadline = 5.0;
-    }
+  let calls = ref 0 in
+  let result =
+    Retry.run ~unit:1.0 ~engine (fun ~attempt:_ ->
+        incr calls;
+        Sim.Engine.run_until engine (Sim.Engine.now engine +. 20.0);
+        Error Types.No_quorum)
   in
-  let result = Retry.run p ~engine ~stats (fun ~attempt:_ -> Error Types.No_quorum) in
   Alcotest.(check bool) "error surfaced" true (result = Error Types.No_quorum);
-  Alcotest.(check int) "stopped by deadline, not attempts" 1 (Retry.attempts stats);
-  Alcotest.(check int) "timeout counted" 1 (Retry.timeouts stats);
-  Alcotest.(check int) "not a give-up" 0 (Retry.gave_up stats)
+  Alcotest.(check int) "stopped by the budget, not attempts" 3 !calls;
+  Alcotest.(check (float 1e-9)) "no backoff slept past the budget" 63.0 (Sim.Engine.now engine)
 
 let test_retry_op_deadline () =
   (* The operation's own deadline bounds retries before the backoff is
      slept: attempt 2 starts at t = 1, and attempt 3 would start at t = 3,
      past the deadline at t = 2.5, so the run stops at t = 1. *)
   let engine = Sim.Engine.create () in
-  let stats = Retry.create_stats () in
-  let p = Retry.default_policy ~unit:1.0 () in
   let calls = ref 0 in
   let result =
-    Retry.run p ~engine ~stats ~deadline:2.5 (fun ~attempt:_ ->
+    Retry.run ~unit:1.0 ~engine ~deadline:2.5 (fun ~attempt:_ ->
         incr calls;
         Error Types.Timed_out)
   in
   Alcotest.(check bool) "error surfaced" true (result = Error Types.Timed_out);
   Alcotest.(check int) "two attempts" 2 !calls;
-  Alcotest.(check (float 1e-9)) "no backoff slept past the deadline" 1.0 (Sim.Engine.now engine);
-  Alcotest.(check int) "timeout counted" 1 (Retry.timeouts stats);
-  Alcotest.(check int) "not a give-up" 0 (Retry.gave_up stats);
-  Alcotest.(check bool) "conserved" true (Retry.conserved stats)
-
-let test_retry_invalid_bounds () =
-  let p = Retry.default_policy ~unit:1.0 () in
-  let reject label bad =
-    match Retry.validate bad with
-    | Ok _ -> Alcotest.failf "%s accepted" label
-    | Error _ -> ()
-  in
-  reject "zero attempts" { p with max_attempts = 0 };
-  reject "negative attempts" { p with max_attempts = -3 };
-  reject "zero deadline" { p with deadline = 0.0 };
-  reject "negative deadline" { p with deadline = -1.0 };
-  reject "negative base delay" { p with base_delay = -0.5 };
-  reject "shrinking multiplier" { p with multiplier = 0.5 };
-  reject "max below base" { p with base_delay = 4.0; max_delay = 1.0 };
-  (* ...and run refuses to start on an invalid policy. *)
-  let engine = Sim.Engine.create () in
-  let stats = Retry.create_stats () in
-  match
-    Retry.run { p with max_attempts = 0 } ~engine ~stats (fun ~attempt:_ -> Ok ())
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "run accepted an invalid policy"
-
-let test_retry_conservation () =
-  (* Every operation submitted must terminate in exactly one of the three
-     ways the counters distinguish, whatever mix of outcomes occurs. *)
-  let engine = Sim.Engine.create () in
-  let stats = Retry.create_stats () in
-  let p = { (Retry.default_policy ~unit:1.0 ()) with max_attempts = 2 } in
-  (* success on first try *)
-  ignore (Retry.run p ~engine ~stats (fun ~attempt:_ -> Ok ()));
-  (* recovery on second try *)
-  ignore
-    (Retry.run p ~engine ~stats (fun ~attempt ->
-         if attempt = 1 then Error Types.No_quorum else Ok ()));
-  (* exhausts attempts *)
-  ignore (Retry.run p ~engine ~stats (fun ~attempt:_ -> Error Types.No_quorum));
-  (* stopped by the deadline before the first retry *)
-  let tight = { p with max_attempts = 10; base_delay = 10.0; deadline = 5.0 } in
-  ignore (Retry.run tight ~engine ~stats (fun ~attempt:_ -> Error Types.Timed_out));
-  Alcotest.(check int) "operations" 4 (Retry.operations stats);
-  Alcotest.(check int) "succeeded" 2 (Retry.succeeded stats);
-  Alcotest.(check int) "recovered" 1 (Retry.recovered stats);
-  Alcotest.(check int) "gave up" 1 (Retry.gave_up stats);
-  Alcotest.(check int) "timeouts" 1 (Retry.timeouts stats);
-  Alcotest.(check bool) "conserved" true (Retry.conserved stats)
+  Alcotest.(check (float 1e-9)) "no backoff slept past the deadline" 1.0 (Sim.Engine.now engine)
 
 (* ------------------------------------------------------------------ *)
 (* End to end: MCV on a lossy network                                  *)
@@ -600,8 +535,6 @@ let () =
           Alcotest.test_case "gives up" `Quick test_retry_gives_up;
           Alcotest.test_case "deadline" `Quick test_retry_deadline;
           Alcotest.test_case "op deadline" `Quick test_retry_op_deadline;
-          Alcotest.test_case "invalid bounds rejected" `Quick test_retry_invalid_bounds;
-          Alcotest.test_case "counters conserved" `Quick test_retry_conservation;
         ] );
       ( "end-to-end",
         [
